@@ -35,8 +35,6 @@ fig10ConfigFromEnv()
     config.warmupInstructions = config.instructionsPerCore / 8;
     config.mixCount = static_cast<int>(envLong("RH_F10_MIXES", 2));
     config.threads = static_cast<int>(envLong("RH_THREADS", 0));
-    config.systemThreads =
-        static_cast<int>(envLong("RH_SYS_THREADS", 1));
     config.checkpointPath = envString("RH_CHECKPOINT", "");
     config.batchDeadlineMs = envLong("RH_DEADLINE_MS", 0);
 

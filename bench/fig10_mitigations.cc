@@ -20,10 +20,6 @@
  *                   legacy packing)
  *   RH_THREADS      sweep worker threads (default: one per hardware
  *                   thread; results are identical for any value)
- *   RH_SYS_THREADS  threads per System instance (epoch-engine channel
- *                   workers; only applied when the sweep pool is
- *                   single-threaded, e.g. RH_THREADS=1 — results are
- *                   identical for any value; default 1)
  *   RH_CHECKPOINT   checkpoint directory: completed shards persist
  *                   across crashes/SIGKILL and a rerun resumes instead
  *                   of recomputing (default: unset = no checkpointing;

@@ -17,7 +17,6 @@
 
 #include "bench_common.hh"
 #include "charlib/hcfirst.hh"
-#include "ecc/terror.hh"
 #include "util/logging.hh"
 #include "util/taskpool.hh"
 

@@ -8,7 +8,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -115,11 +114,9 @@ BENCHMARK(BM_ExperimentStep);
 void
 BM_SystemRun(benchmark::State &state)
 {
-    // A whole multi-channel system run per execution engine and
-    // intra-system thread count (SystemConfig::threads): arg 0 = the
-    // reference lockstep engine, 1 = serial epochs, N > 1 adds
-    // min(N - 1, channels) channel workers. Results are bit-identical
-    // across args; only wall-clock should move.
+    // A whole multi-channel system run per execution engine: arg 0 =
+    // the reference lockstep engine, 1 = serial epochs. Results are
+    // bit-identical across args; only wall-clock should move.
     core::SystemConfig config;
     config.cores = 4;
     config.organization.rows = 512;
@@ -128,14 +125,10 @@ BM_SystemRun(benchmark::State &state)
     config.addressFunctions = dram::AddressFunctions::resolve(
         "channel-xor", config.organization);
     config.lockstep = state.range(0) == 0;
-    config.threads =
-        std::max(1, static_cast<int>(state.range(0)));
     const auto mixes =
         workload::mixCatalogue(config.cores, 2 * 1024 * 1024);
     for (auto _ : state) {
-        // Fresh System per iteration: run() is run-to-completion, and
-        // constructing here also charges each engine its own worker
-        // start-up cost.
+        // Fresh System per iteration: run() is run-to-completion.
         core::System system(config, mixes[0].apps, 1);
         std::vector<std::unique_ptr<mitigation::Mitigation>> paras;
         std::vector<mitigation::Mitigation *> attached;
@@ -151,8 +144,7 @@ BM_SystemRun(benchmark::State &state)
     }
     state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_SystemRun)->Arg(0)->Arg(1)->Arg(2)->Arg(5)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SystemRun)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 void
 BM_ChipModelHammer(benchmark::State &state)

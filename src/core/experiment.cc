@@ -1,8 +1,6 @@
 #include "experiment.hh"
 
-#include <algorithm>
 #include <chrono>
-#include <thread>
 #include <utility>
 
 #include "util/logging.hh"
@@ -211,34 +209,12 @@ ExperimentRunner::weightedSpeedup(
     return weightedSpeedupFromIpcs(shared_ipc, alone_ipc);
 }
 
-int
-ExperimentRunner::sweepPoolWidth() const
-{
-    if (config_.pool)
-        return config_.pool->threadCount();
-    const int width = config_.threads > 0
-        ? config_.threads
-        : static_cast<int>(std::thread::hardware_concurrency());
-    return std::max(width, 1);
-}
-
-SystemConfig
-ExperimentRunner::systemConfigForRun() const
-{
-    SystemConfig system = config_.system;
-    // Nesting channel workers inside a parallel sweep would
-    // oversubscribe the machine; the grid fan-out already uses it.
-    system.threads =
-        sweepPoolWidth() > 1 ? 1 : std::max(config_.systemThreads, 1);
-    return system;
-}
-
 double
 ExperimentRunner::soloIpc(int mix_index, int core) const
 {
     const workload::Mix &mix =
         mixes_[static_cast<std::size_t>(mix_index)];
-    SystemConfig solo = systemConfigForRun();
+    SystemConfig solo = config_.system;
     solo.cores = 1;
     System system(solo, {mix.apps[static_cast<std::size_t>(core)]},
                   config_.seed ^
@@ -254,7 +230,7 @@ ExperimentRunner::sharedBaselineIpcs(int mix_index) const
 {
     const workload::Mix &mix =
         mixes_[static_cast<std::size_t>(mix_index)];
-    System system(systemConfigForRun(), mix.apps,
+    System system(config_.system, mix.apps,
                   config_.seed ^
                       (static_cast<std::uint64_t>(mix_index) << 16));
     // NoMitigation is stateless, so one instance per channel costs
@@ -386,7 +362,7 @@ ExperimentRunner::runMix(int mix_index, mitigation::Kind kind,
 
     const MixBaseline &base = baseline(mix_index);
 
-    System system(systemConfigForRun(), mix.apps,
+    System system(config_.system, mix.apps,
                   config_.seed ^
                       (static_cast<std::uint64_t>(mix_index) << 16));
     system.setMitigations(attached);

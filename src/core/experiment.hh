@@ -85,16 +85,6 @@ struct ExperimentConfig
      *  thread. Results do not depend on this. */
     int threads = 0;
     /**
-     * Threads each System instance may use internally (the epoch
-     * engine's channel workers; see SystemConfig::threads). Applied
-     * only when the sweep pool itself is single-threaded — when the
-     * grid already fans out across a wide pool, nesting channel
-     * workers inside every cell would oversubscribe the machine, so
-     * runs force System threads = 1 there. Results are bit-identical
-     * either way; excluded from hash()/serialize().
-     */
-    int systemThreads = 1;
-    /**
      * Checkpoint directory (benches: RH_CHECKPOINT); empty disables.
      * When set, prepare() and sweep() persist every completed shard to
      * a util::RunStore file keyed by hash(), and a restarted run loads
@@ -207,15 +197,6 @@ class ExperimentRunner
     /** Weighted speedup of a shared run given standalone IPCs. */
     double weightedSpeedup(const SystemResult &shared,
                            const std::vector<double> &alone_ipc) const;
-
-    /** Worker count of the pool sweep()/prepare() would run on (the
-     *  borrowed pool's width, or what `threads` would create). */
-    int sweepPoolWidth() const;
-
-    /** The SystemConfig every run uses: config.system plus the
-     *  effective intra-system thread count (systemThreads, forced to 1
-     *  when the sweep pool is already parallel). */
-    SystemConfig systemConfigForRun() const;
 
     /** Standalone IPC of one app of a mix (pure; thread-safe). */
     double soloIpc(int mix_index, int core) const;

@@ -25,8 +25,8 @@ SystemConfig::serialize(util::ByteWriter &w) const
     timing.serialize(w);
     addressFunctions.serialize(w);
     // Controller queue geometry affects results; the eventDriven
-    // engine toggle (and the threads/lockstep execution knobs above)
-    // do not, and stay out of the run-description schema.
+    // engine toggle (and the lockstep execution knob above) do not,
+    // and stay out of the run-description schema.
     w.i64(controller.readQueueSize);
     w.i64(controller.writeQueueSize);
     w.i64(controller.writeHighWatermark);
@@ -103,15 +103,6 @@ System::System(SystemConfig config,
             config_.addressFunctions));
     }
 
-    if (config_.threads > 1 && !config_.lockstep) {
-        gang_ = std::make_unique<util::EpochGang>(
-            channels(), std::min(config_.threads - 1, channels()),
-            [this](int shard, std::int64_t target) {
-                controllers_[static_cast<std::size_t>(shard)]->advanceTo(
-                    target);
-            });
-    }
-
     const double device_ghz = 1.0 / config_.timing.tCKns;
     cpuRatio_ = config_.cpuGhz / device_ghz;
 
@@ -177,8 +168,7 @@ System::sendFromCore(int core_id, std::uint64_t addr, bool write,
     // LLC hits are served entirely by the cache: memory-queue state
     // must not reject them (the seed gated every access, hits
     // included, on the demand channel's read queue), and skipping the
-    // controller entirely keeps the common case lock-free under the
-    // epoch engine.
+    // controller entirely spares the common case a channel sync.
     if (llc_.contains(addr)) {
         (void)llc_.access(addr, write); // Guaranteed hit.
         if (done) {
@@ -202,12 +192,9 @@ System::sendFromCore(int core_id, std::uint64_t addr, bool write,
                       config_.mshrPerCore) {
         return false;
     }
-    bool has_space = false;
-    withChannel(ch, [&] {
-        controller.advanceTo(chanSyncTarget_);
-        has_space = write ? controller.writeQueueSpace() > 0
-                          : controller.readQueueSpace() > 0;
-    });
+    controller.advanceTo(chanSyncTarget_);
+    const bool has_space = write ? controller.writeQueueSpace() > 0
+                                 : controller.readQueueSpace() > 0;
     if (!has_space)
         return false;
 
@@ -221,12 +208,10 @@ System::sendFromCore(int core_id, std::uint64_t addr, bool write,
     request.coreId = core_id;
     if (write) {
         request.type = sim::Request::Type::Write;
-        withChannel(ch, [&] {
-            if (!controller.enqueue(std::move(request))) {
-                util::fatal("System::sendFromCore: demand write "
-                            "rejected despite free write-queue slot");
-            }
-        });
+        if (!controller.enqueue(std::move(request))) {
+            util::fatal("System::sendFromCore: demand write rejected "
+                        "despite free write-queue slot");
+        }
         if (done)
             done();
     } else {
@@ -238,19 +223,14 @@ System::sendFromCore(int core_id, std::uint64_t addr, bool write,
             if (done)
                 done();
         };
-        withChannel(ch, [&] {
-            if (!controller.enqueue(std::move(request))) {
-                util::fatal("System::sendFromCore: demand read "
-                            "rejected despite free read-queue slot");
-            }
-            // A queued read lowers the earliest cycle this channel can
-            // call back into the CPU; the running epoch must not
-            // outrun it.
-            epochHorizon_ = std::min(epochHorizon_,
-                                     controller.cpuInteractionBound());
-            if (gang_)
-                gang_->shrinkHorizon(epochHorizon_);
-        });
+        if (!controller.enqueue(std::move(request))) {
+            util::fatal("System::sendFromCore: demand read rejected "
+                        "despite free read-queue slot");
+        }
+        // A queued read lowers the earliest cycle this channel can call
+        // back into the CPU; the running epoch must not outrun it.
+        epochHorizon_ =
+            std::min(epochHorizon_, controller.cpuInteractionBound());
     }
 
     // Dirty victim goes back to memory (posted; best effort if the
@@ -262,14 +242,11 @@ System::sendFromCore(int core_id, std::uint64_t addr, bool write,
         wb.addr = *access.writeback;
         wb.type = sim::Request::Type::Write;
         wb.coreId = core_id;
-        const int wb_ch = mapper_.decodeChannel(wb.addr);
-        withChannel(wb_ch, [&] {
-            auto &victim_controller =
-                *controllers_[static_cast<std::size_t>(wb_ch)];
-            victim_controller.advanceTo(chanSyncTarget_);
-            if (!victim_controller.enqueue(std::move(wb)))
-                victim_controller.notePostedWriteDrop();
-        });
+        auto &victim_controller = *controllers_[static_cast<std::size_t>(
+            mapper_.decodeChannel(wb.addr))];
+        victim_controller.advanceTo(chanSyncTarget_);
+        if (!victim_controller.enqueue(std::move(wb)))
+            victim_controller.notePostedWriteDrop();
     }
     return true;
 }
@@ -335,43 +312,23 @@ System::advanceEpoch(const std::function<bool()> &stop)
     }
 
     // No channel can call back into the CPU before `bound`: run the
-    // CPU side ahead while the channels catch up concurrently, syncing
-    // only at enqueue points (sendFromCore). Workers trail the CPU by
-    // design — during CPU device-step t they may advance a channel to
-    // at most t + 1, exactly where the lockstep engine would have it
-    // when step t's requests land — so an on-demand sync is usually a
-    // no-op.
+    // CPU side ahead and let each channel catch up only when the CPU
+    // touches it (sendFromCore syncs it to chanSyncTarget_). During CPU
+    // device-step t that target is t + 1, exactly where the lockstep
+    // engine would have the channel when step t's requests land.
     epochHorizon_ = std::min(bound, start + kEpochCapCycles);
-    if (gang_)
-        gang_->begin(start + 1, epochHorizon_);
     dram::Cycle t = start;
-    try {
-        while (true) {
-            chanSyncTarget_ = t + 1;
-            cpuDeviceStep();
-            ++t;
-            if ((stop && stop()) || t >= epochHorizon_)
-                break;
-            if (gang_)
-                gang_->publishSafe(t + 1);
-        }
-    } catch (...) {
-        // Quiesce the workers before unwinding; chanSyncTarget_ is the
-        // highest bound they may have been handed.
-        if (gang_)
-            gang_->finish(chanSyncTarget_);
-        throw;
-    }
+    do {
+        chanSyncTarget_ = t + 1;
+        cpuDeviceStep();
+        ++t;
+    } while (!(stop && stop()) && t < epochHorizon_);
     // Close the epoch at t: every channel catches up to the CPU. No
     // completion can fire during the catch-up — deadlines sit at or
     // beyond the horizon, and advanceTo(t) only executes cycles below
     // t — so the next epoch (or serial step) delivers them.
-    if (gang_) {
-        gang_->finish(t);
-    } else {
-        for (auto &controller : controllers_)
-            controller->advanceTo(t);
-    }
+    for (auto &controller : controllers_)
+        controller->advanceTo(t);
     chanSyncTarget_ = t;
 }
 

@@ -13,14 +13,13 @@
  *
  * Two execution engines produce bit-identical results: the reference
  * lockstep engine (step(): every controller ticks one device cycle,
- * then the CPU side runs) and the epoch engine (advanceEpoch():
- * channels advance in parallel on util::EpochGang workers up to the
- * next cycle at which any controller can call back into the CPU,
- * syncing with the CPU side only at request-enqueue points). See
+ * then the CPU side runs) and the epoch engine (advanceEpoch(): the
+ * CPU side runs ahead up to the next cycle at which any controller
+ * can call back into it, and each channel catches up only at
+ * request-enqueue points and at the epoch's end). See
  * docs/ARCHITECTURE.md, "Threading model", for the determinism
- * argument. SystemConfig::threads selects the worker count and
- * SystemConfig::lockstep forces the reference engine; neither affects
- * results, so neither is part of the serialized config.
+ * argument. SystemConfig::lockstep forces the reference engine; it
+ * does not affect results, so it is not part of the serialized config.
  */
 
 #ifndef ROWHAMMER_CORE_SYSTEM_HH
@@ -34,7 +33,6 @@
 #include "cpu/core.hh"
 #include "mitigation/mitigation.hh"
 #include "sim/controller.hh"
-#include "util/taskpool.hh"
 #include "workload/synthetic.hh"
 
 namespace rowhammer::core
@@ -63,12 +61,9 @@ struct SystemConfig
      *  engine toggle is execution-only and is not). */
     sim::Controller::Config controller;
 
-    /**
-     * Intra-system parallelism: total threads the System may use while
-     * stepping (1 = serial; N > 1 runs min(N - 1, channels) channel
-     * workers alongside the calling thread). Results are bit-identical
-     * for every value, so this is excluded from serialize()/hash().
-     */
+    /** Ignored: a System always runs on the calling thread. Kept only
+     *  because the benchmark driver still assigns it; its next change
+     *  drops that assignment and this member. */
     int threads = 1;
     /** Force the reference lockstep engine (tests pin the epoch engine
      *  against it). Execution-only; not serialized. */
@@ -160,13 +155,12 @@ class System
     /**
      * Epoch engine: advance the whole system by one epoch — up to the
      * earliest cycle at which any controller can fire a read
-     * completion (or the epoch cap) — with channels running in
-     * parallel when config.threads > 1. Falls back to a single step()
+     * completion (or the epoch cap). Falls back to a single step()
      * whenever a completion is due, which is therefore the only place
      * completion callbacks fire, in canonical channel order; results
-     * are bit-identical to the lockstep engine at any thread count.
-     * `stop` is polled once per device step (like run()'s retirement
-     * check in lockstep mode) and ends the epoch early.
+     * are bit-identical to the lockstep engine. `stop` is polled once
+     * per device step (like run()'s retirement check in lockstep mode)
+     * and ends the epoch early.
      */
     void advanceEpoch(const std::function<bool()> &stop = {});
 
@@ -193,27 +187,9 @@ class System
      *  ControllerStats::addChannel). */
     sim::ControllerStats aggregateMemStats() const;
 
-    /**
-     * Run `fn` with channel `ch`'s shard lock held (epoch engine) or
-     * directly (serial/lockstep). All mid-step controller access from
-     * the CPU side goes through here.
-     */
-    template <typename Fn>
-    void withChannel(int ch, Fn &&fn)
-    {
-        if (gang_)
-            gang_->withShard(ch, std::forward<Fn>(fn));
-        else
-            fn();
-    }
-
     SystemConfig config_;
     /** One memory controller per channel. */
     std::vector<std::unique_ptr<sim::Controller>> controllers_;
-    /** Channel workers for the epoch engine (nullptr when
-     *  config.threads <= 1 or config.lockstep). Declared after
-     *  controllers_ so workers join before controllers die. */
-    std::unique_ptr<util::EpochGang> gang_;
     /** Routing copy of the active address mapping (each controller
      *  compiles its own identical instance for decode-at-enqueue). */
     sim::AddressMapper mapper_;
@@ -235,8 +211,8 @@ class System
      * land. Maintained by both engines; sendFromCore syncs on demand.
      */
     dram::Cycle chanSyncTarget_ = 0;
-    /** Current epoch's exclusive horizon (caller-thread copy; the
-     *  gang's atomic mirrors it). Shrinks when a read is enqueued. */
+    /** Current epoch's exclusive horizon. Shrinks when a read is
+     *  enqueued. */
     dram::Cycle epochHorizon_ = 0;
     /** Upper bound on epoch length, so an idle memory system still
      *  surfaces run()'s non-convergence guard periodically. */

@@ -23,8 +23,6 @@ typeTag(MsgType type)
         return "rhd-attack-sweep";
       case MsgType::HcFirst:
         return "rhd-hcfirst";
-      case MsgType::FuzzCampaign:
-        return "rhd-fuzz-campaign";
       default:
         return "rhd-other";
     }
@@ -68,14 +66,6 @@ Engine::handle(MsgType type, const std::string &payload)
     Reply reply;
     if (type == MsgType::Ping) {
         reply.status = Status::Ok;
-        return reply;
-    }
-    if (type == MsgType::FuzzCampaign) {
-        // Frame + codec are live so clients can already speak the
-        // type; serving the minutes-long campaign (with streamed
-        // progress, not one memoized reply) lands in a follow-on.
-        reply.status = Status::UnsupportedType;
-        reply.message = "fuzz_campaign serving not yet implemented";
         return reply;
     }
     if (type != MsgType::Fig10 && type != MsgType::AttackSweep &&

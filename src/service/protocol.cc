@@ -76,7 +76,7 @@ decodeFrameHeader(const std::string &bytes, std::string &why)
     }
     const std::uint32_t type = readU32(bytes, 8);
     if (type < static_cast<std::uint32_t>(MsgType::Ping) ||
-        type > static_cast<std::uint32_t>(MsgType::FuzzCampaign)) {
+        type > static_cast<std::uint32_t>(MsgType::Reply)) {
         why = "unknown message type " + std::to_string(type);
         return std::nullopt;
     }

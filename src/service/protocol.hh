@@ -56,11 +56,9 @@ enum class MsgType : std::uint32_t
     AttackSweep = 3, ///< Attack-pattern sweep (SweepConfig).
     HcFirst = 4,     ///< Population HCfirst measurement.
     Reply = 5,       ///< Server -> client answer.
-    /** Fuzzing campaign (FuzzerConfig). Frame + codec are live; the
-     *  engine answers UnsupportedType until serving lands in a
-     *  follow-on (the campaign is minutes-long and needs streamed
-     *  progress, not one memoized reply). */
-    FuzzCampaign = 6,
+    // 6 is reserved (formerly FuzzCampaign, never served): do not
+    // reuse it, so a frame from a client that still sends it is
+    // rejected by decodeFrameHeader instead of misread.
 };
 
 /** Reply status codes. */

@@ -51,23 +51,6 @@ AttackSweepRequest::decode(const std::string &bytes,
 }
 
 std::string
-FuzzCampaignRequest::encode() const
-{
-    util::ByteWriter w;
-    config.serialize(w);
-    return w.bytes();
-}
-
-bool
-FuzzCampaignRequest::decode(const std::string &bytes,
-                            FuzzCampaignRequest &out)
-{
-    util::ByteReader r(bytes);
-    out.config = attack::FuzzerConfig::deserialize(r);
-    return r.done();
-}
-
-std::string
 HcFirstRequest::encode() const
 {
     util::ByteWriter w;

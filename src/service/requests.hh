@@ -21,7 +21,6 @@
 #include <string>
 #include <vector>
 
-#include "attack/fuzzer.hh"
 #include "attack/sweep.hh"
 #include "charlib/hcfirst.hh"
 #include "core/experiment.hh"
@@ -49,19 +48,6 @@ struct AttackSweepRequest
     std::string encode() const;
     [[nodiscard]] static bool decode(const std::string &bytes,
                                      AttackSweepRequest &out);
-};
-
-/** Fuzzing-campaign request: the FuzzerConfig run description
- *  verbatim. The codec is live (clients can encode, the daemon
- *  decodes and recognizes the type); the engine answers
- *  UnsupportedType until campaign serving lands in a follow-on. */
-struct FuzzCampaignRequest
-{
-    attack::FuzzerConfig config;
-
-    std::string encode() const;
-    [[nodiscard]] static bool decode(const std::string &bytes,
-                                     FuzzCampaignRequest &out);
 };
 
 /** HCfirst measurement over an explicit chip population. */

@@ -155,10 +155,10 @@ class Controller
      * device().readDataAt(now()) for an already-queued read, and
      * readDataAt is monotone in the issue cycle — so with an empty
      * read queue and completion heap nothing can reach the CPU before
-     * the next enqueue. core::System's epoch engine advances every
-     * channel in parallel strictly below the minimum of these bounds
-     * and re-shrinks the horizon after each read enqueue (see
-     * docs/ARCHITECTURE.md, "Threading model").
+     * the next enqueue. core::System's epoch engine runs the CPU side
+     * ahead strictly below the minimum of these bounds and re-shrinks
+     * the horizon after each read enqueue (see docs/ARCHITECTURE.md,
+     * "Threading model").
      */
     dram::Cycle cpuInteractionBound() const;
 

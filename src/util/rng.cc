@@ -82,12 +82,6 @@ Rng::uniformInt(std::uint64_t lo, std::uint64_t hi)
     return lo + draw % bound;
 }
 
-double
-Rng::uniformReal(double lo, double hi)
-{
-    return lo + (hi - lo) * uniform();
-}
-
 bool
 Rng::bernoulli(double p)
 {
@@ -121,36 +115,6 @@ double
 Rng::normal(double mean, double stddev)
 {
     return mean + stddev * normal();
-}
-
-double
-Rng::lognormal(double mu, double sigma)
-{
-    return std::exp(normal(mu, sigma));
-}
-
-double
-Rng::exponential(double lambda)
-{
-    if (lambda <= 0.0)
-        panic("Rng::exponential: lambda must be positive");
-    double u;
-    do {
-        u = uniform();
-    } while (u <= 0.0);
-    return -std::log(u) / lambda;
-}
-
-double
-Rng::weibull(double shape, double scale)
-{
-    if (shape <= 0.0 || scale <= 0.0)
-        panic("Rng::weibull: shape and scale must be positive");
-    double u;
-    do {
-        u = uniform();
-    } while (u <= 0.0);
-    return scale * std::pow(-std::log(u), 1.0 / shape);
 }
 
 std::uint64_t

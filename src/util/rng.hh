@@ -52,9 +52,6 @@ class Rng
     /** Uniform integer in [lo, hi] inclusive. Requires lo <= hi. */
     std::uint64_t uniformInt(std::uint64_t lo, std::uint64_t hi);
 
-    /** Uniform double in [lo, hi). */
-    double uniformReal(double lo, double hi);
-
     /** Bernoulli trial with success probability p. */
     bool bernoulli(double p);
 
@@ -63,18 +60,6 @@ class Rng
 
     /** Normal with given mean and standard deviation. */
     double normal(double mean, double stddev);
-
-    /** Lognormal: exp(N(mu, sigma)). */
-    double lognormal(double mu, double sigma);
-
-    /** Exponential with given rate lambda (> 0). */
-    double exponential(double lambda);
-
-    /**
-     * Weibull with shape k and scale lambda; used for the weak-cell tail
-     * of the RowHammer threshold distribution.
-     */
-    double weibull(double shape, double scale);
 
     /** Poisson-distributed count with the given mean (>= 0). */
     std::uint64_t poisson(double mean);

@@ -69,7 +69,9 @@ fmtKilo(double value)
 {
     std::ostringstream oss;
     const double k = value / 1000.0;
-    if (k >= 100.0)
+    if (value < 1000.0)
+        oss << std::fixed << std::setprecision(0) << value;
+    else if (k >= 100.0)
         oss << std::fixed << std::setprecision(0) << k << "k";
     else
         oss << std::fixed << std::setprecision(1) << k << "k";

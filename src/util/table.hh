@@ -42,7 +42,8 @@ class TextTable
 /** Format a double with the given precision. */
 std::string fmt(double value, int precision = 3);
 
-/** Format like the paper's "x1000" hammer counts, e.g. 4800 -> "4.8k". */
+/** Format like the paper's "x1000" hammer counts, e.g. 4800 -> "4.8k";
+ *  values below 1000 print as integers, e.g. 128 -> "128". */
 std::string fmtKilo(double value);
 
 /** Format a ratio as a percentage string, e.g. 0.923 -> "92.3%". */

@@ -1,7 +1,5 @@
 #include "taskpool.hh"
 
-#include <algorithm>
-#include <limits>
 #include <string>
 
 #include "util/logging.hh"
@@ -160,161 +158,6 @@ TaskPool::forEach(std::size_t count,
         throw BatchCancelled(
             "fatal: TaskPool: batch cancelled mid-run "
             "(requestCancel()); completed shards are checkpointed");
-    }
-}
-
-EpochGang::EpochGang(int shards, int workers, AdvanceFn advance)
-    : advance_(std::move(advance)), shards_(shards)
-{
-    if (shards_ < 1)
-        fatal("EpochGang: shard count must be positive");
-    if (!advance_)
-        fatal("EpochGang: advance callback must be set");
-    workerCount_ = std::min(std::max(workers, 1), shards_);
-    shardMu_ = std::make_unique<std::mutex[]>(
-        static_cast<std::size_t>(shards_));
-    workers_.reserve(static_cast<std::size_t>(workerCount_));
-    for (int w = 0; w < workerCount_; ++w)
-        workers_.emplace_back([this, w] { workerLoop(w); });
-}
-
-EpochGang::~EpochGang()
-{
-    {
-        std::lock_guard<std::mutex> lock(parkMu_);
-        stop_.store(true, std::memory_order_release);
-    }
-    parkCv_.notify_all();
-    for (auto &worker : workers_)
-        worker.join();
-}
-
-void
-EpochGang::begin(std::int64_t safe, std::int64_t horizon)
-{
-    // All epoch parameters must be visible before the generation bump
-    // releases the workers. The bump happens under parkMu_ so a worker
-    // that just decided to park cannot miss the notify.
-    done_.store(0, std::memory_order_relaxed);
-    finishing_.store(false, std::memory_order_relaxed);
-    safe_.store(safe, std::memory_order_relaxed);
-    horizon_.store(horizon, std::memory_order_relaxed);
-    {
-        std::lock_guard<std::mutex> lock(parkMu_);
-        epoch_.fetch_add(1, std::memory_order_release);
-    }
-    parkCv_.notify_all();
-}
-
-void
-EpochGang::publishSafe(std::int64_t safe)
-{
-    safe_.store(safe, std::memory_order_release);
-}
-
-void
-EpochGang::shrinkHorizon(std::int64_t horizon)
-{
-    // Single writer (the caller), so load + store min is race-free.
-    if (horizon < horizon_.load(std::memory_order_relaxed))
-        horizon_.store(horizon, std::memory_order_release);
-}
-
-void
-EpochGang::finish(std::int64_t final)
-{
-    horizon_.store(final, std::memory_order_relaxed);
-    safe_.store(final, std::memory_order_relaxed);
-    finishing_.store(true, std::memory_order_release);
-    // Drain every shard from this thread too: the epoch must not stall
-    // on a descheduled worker, and advancing an already-finished shard
-    // is a no-op by the advance callback's contract.
-    for (int s = 0; s < shards_; ++s) {
-        std::lock_guard<std::mutex> lock(
-            shardMu_[static_cast<std::size_t>(s)]);
-        advance_(s, final);
-    }
-    // Wait for the workers to leave the epoch; afterwards the caller
-    // owns all shard state until the next begin().
-    const int count = workerCount();
-    int spins = 0;
-    while (done_.load(std::memory_order_acquire) != count) {
-        if (++spins >= 64) {
-            std::this_thread::yield();
-            spins = 0;
-        }
-    }
-}
-
-void
-EpochGang::workerLoop(int slot)
-{
-    const int stride = workerCount_;
-    // Last target this worker advanced each owned shard to; advancing
-    // is idempotent, so under-reporting (e.g. after finish() drained a
-    // shard for us) only costs a redundant no-op call.
-    std::vector<std::int64_t> last(static_cast<std::size_t>(shards_),
-                                   std::numeric_limits<std::int64_t>::min());
-    std::uint64_t seen = 0;
-    while (true) {
-        // Wait for the next epoch: spin briefly, then park.
-        std::uint64_t gen;
-        int spins = 0;
-        while ((gen = epoch_.load(std::memory_order_acquire)) == seen &&
-               !stop_.load(std::memory_order_acquire)) {
-            if (++spins < 1024)
-                continue;
-            if (spins < 4096) {
-                std::this_thread::yield();
-                continue;
-            }
-            std::unique_lock<std::mutex> lock(parkMu_);
-            parkCv_.wait(lock, [&] {
-                return stop_.load(std::memory_order_acquire) ||
-                    epoch_.load(std::memory_order_acquire) != seen;
-            });
-        }
-        if (stop_.load(std::memory_order_acquire))
-            return;
-        seen = gen;
-
-        // Advance owned shards while the caller runs the serial side.
-        while (!finishing_.load(std::memory_order_acquire) &&
-               !stop_.load(std::memory_order_acquire)) {
-            const std::int64_t limit =
-                std::min(horizon_.load(std::memory_order_acquire),
-                         safe_.load(std::memory_order_acquire));
-            bool moved = false;
-            for (int s = slot; s < shards_; s += stride) {
-                auto &done_to = last[static_cast<std::size_t>(s)];
-                if (done_to >= limit)
-                    continue;
-                {
-                    std::lock_guard<std::mutex> lock(
-                        shardMu_[static_cast<std::size_t>(s)]);
-                    advance_(s, limit);
-                }
-                done_to = limit;
-                moved = true;
-            }
-            if (!moved)
-                std::this_thread::yield();
-        }
-
-        // Final pass: bring owned shards to the epoch's end position,
-        // then report done. finish() also drains, so whoever gets each
-        // shard's mutex first does the work.
-        const std::int64_t final =
-            horizon_.load(std::memory_order_acquire);
-        for (int s = slot; s < shards_; s += stride) {
-            {
-                std::lock_guard<std::mutex> lock(
-                    shardMu_[static_cast<std::size_t>(s)]);
-                advance_(s, final);
-            }
-            last[static_cast<std::size_t>(s)] = final;
-        }
-        done_.fetch_add(1, std::memory_order_release);
     }
 }
 

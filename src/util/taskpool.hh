@@ -183,105 +183,6 @@ class TaskPool
     std::unique_ptr<std::atomic<std::int64_t>[]> inFlight_;
 };
 
-/**
- * Deterministic shard gang for epoch-parallel co-simulation
- * (core::System's multi-channel engine; see docs/ARCHITECTURE.md,
- * "Threading model").
- *
- * N shards advance toward a moving horizon on persistent worker
- * threads while the caller runs the serial side of the epoch:
- *
- *   gang.begin(safe, horizon);         // workers start advancing
- *   for each serial step t:
- *       ...gang.withShard(s, fn)...    // synchronized shard access
- *       gang.shrinkHorizon(h);         // new upper bound (caller only)
- *       gang.publishSafe(t + 1);       // workers may advance further
- *   gang.finish(final);                // all shards at `final`; quiesce
- *
- * Workers own shards round-robin and advance each one to
- * min(horizon, safe) whenever that bound grows, taking the shard's
- * mutex around every advance callback; the caller takes the same mutex
- * via withShard() for mid-epoch shard access, so shard state is never
- * touched concurrently. finish() drains every shard itself (a
- * descheduled worker cannot stall the epoch) and then waits for the
- * workers to quiesce, after which the caller may touch shard state
- * without locks until the next begin(). The advance callback must be
- * idempotent for targets at or below a shard's current position
- * (advancing to min(horizon, safe) twice is a no-op), which makes the
- * result independent of worker count and scheduling.
- *
- * Synchronization is spin-first (epochs are microseconds; a condvar
- * round-trip per epoch would dominate), parking on a condvar only
- * between epochs after a bounded spin.
- */
-class EpochGang
-{
-  public:
-    using AdvanceFn = std::function<void(int shard, std::int64_t target)>;
-
-    /**
-     * @param shards Number of independently advancing shards.
-     * @param workers Worker threads to start (clamped to [1, shards]).
-     * @param advance Called with the shard's mutex held; must advance
-     *        the shard to at most `target` and be a no-op when the
-     *        shard is already there.
-     */
-    EpochGang(int shards, int workers, AdvanceFn advance);
-    ~EpochGang();
-
-    EpochGang(const EpochGang &) = delete;
-    EpochGang &operator=(const EpochGang &) = delete;
-
-    int workerCount() const { return workerCount_; }
-
-    /** Start an epoch: workers advance shards to min(horizon, safe). */
-    void begin(std::int64_t safe, std::int64_t horizon);
-
-    /** Raise the workers' safe bound (caller thread only, monotone). */
-    void publishSafe(std::int64_t safe);
-
-    /** Lower the horizon (caller thread only; never below `safe`). */
-    void shrinkHorizon(std::int64_t horizon);
-
-    /**
-     * End the epoch: every shard is advanced to exactly `final` (which
-     * must be >= the last published safe bound and <= the horizon) and
-     * all workers have quiesced when this returns.
-     */
-    void finish(std::int64_t final);
-
-    /** Run `fn` with the shard's mutex held (mid-epoch shard access). */
-    template <typename Fn>
-    void withShard(int shard, Fn &&fn)
-    {
-        std::lock_guard<std::mutex> lock(
-            shardMu_[static_cast<std::size_t>(shard)]);
-        fn();
-    }
-
-  private:
-    void workerLoop(int slot);
-
-    AdvanceFn advance_;
-    int shards_;
-    int workerCount_ = 0;
-    std::unique_ptr<std::mutex[]> shardMu_;
-    std::vector<std::thread> workers_;
-
-    // Epoch state. `epoch_` is bumped under parkMu_ by begin() so a
-    // worker deciding to park cannot miss the wakeup; all other fields
-    // are written by the caller and read by the workers.
-    std::atomic<std::int64_t> safe_{0};
-    std::atomic<std::int64_t> horizon_{0};
-    std::atomic<bool> finishing_{false};
-    std::atomic<int> done_{0};
-    std::atomic<std::uint64_t> epoch_{0};
-    std::atomic<bool> stop_{false};
-
-    std::mutex parkMu_;
-    std::condition_variable parkCv_;
-};
-
 } // namespace rowhammer::util
 
 #endif // ROWHAMMER_UTIL_TASKPOOL_HH

@@ -1,7 +1,7 @@
 /**
  * @file
- * Unit tests for the ECC codes: Hamming SEC, SEC-DED, the on-die
- * (136,128) model, and the t-error-correcting capability model.
+ * Unit tests for the ECC codes: Hamming SEC, SEC-DED, and the on-die
+ * (136,128) model.
  */
 
 #include <gtest/gtest.h>
@@ -12,7 +12,6 @@
 
 #include "ecc/hamming.hh"
 #include "ecc/ondie.hh"
-#include "ecc/terror.hh"
 #include "util/rng.hh"
 
 namespace
@@ -322,48 +321,6 @@ TEST(OnDieEcc, FlipIndexOutOfRangePanics)
     const BitVec data(128, 0x00);
     EXPECT_THROW(ecc.readWithFlips(data, {136}),
                  rowhammer::util::PanicError);
-}
-
-class TErrorStrength : public ::testing::TestWithParam<std::size_t>
-{
-};
-
-TEST_P(TErrorStrength, CorrectsUpToTPerWord)
-{
-    const std::size_t t = GetParam();
-    TErrorEcc ecc(t, 64);
-    // t errors in word 0: fully corrected.
-    std::vector<std::size_t> errors;
-    for (std::size_t i = 0; i < t; ++i)
-        errors.push_back(i);
-    EXPECT_TRUE(ecc.fullyCorrects(errors));
-    // t+1 errors in word 1: all pass through.
-    std::vector<std::size_t> too_many;
-    for (std::size_t i = 0; i <= t; ++i)
-        too_many.push_back(64 + i);
-    EXPECT_EQ(ecc.surviveErrors(too_many).size(), t + 1);
-}
-
-INSTANTIATE_TEST_SUITE_P(Strengths, TErrorStrength,
-                         ::testing::Values(1u, 2u, 3u));
-
-TEST(TError, MixedWords)
-{
-    TErrorEcc ecc(1, 64);
-    // Word 0 has one error (corrected), word 2 has two (survive).
-    const std::vector<std::size_t> errors{5, 130, 140};
-    const auto survivors = ecc.surviveErrors(errors);
-    ASSERT_EQ(survivors.size(), 2u);
-    EXPECT_EQ(survivors[0], 130u);
-    EXPECT_EQ(survivors[1], 140u);
-}
-
-TEST(TError, ZeroStrengthPassesEverything)
-{
-    TErrorEcc ecc(0, 64);
-    const std::vector<std::size_t> errors{1, 2, 3};
-    EXPECT_EQ(ecc.surviveErrors(errors).size(), 3u);
-    EXPECT_TRUE(ecc.fullyCorrects({}));
 }
 
 } // namespace

@@ -18,7 +18,6 @@
 #include "mitigation/increfresh.hh"
 #include "mitigation/mrloc.hh"
 #include "mitigation/para.hh"
-#include "mitigation/profile_guided.hh"
 #include "mitigation/prohit.hh"
 #include "mitigation/trr.hh"
 #include "mitigation/twice.hh"
@@ -485,61 +484,6 @@ TEST(Factory, EvaluatedAtRules)
     // PARA and Ideal scale everywhere.
     EXPECT_TRUE(evaluatedAt(Kind::PARA, 64.0, kTiming));
     EXPECT_TRUE(evaluatedAt(Kind::Ideal, 64.0, kTiming));
-}
-
-
-TEST(ProfileGuided, OnlyProfiledRowsTracked)
-{
-    std::vector<RowProfileEntry> profile{{0, 100, 500.0}};
-    ProfileGuidedRefresh mech(profile, 16384);
-    EXPECT_EQ(mech.profiledRows(), 1u);
-    std::vector<VictimRef> out;
-    // Hammering far from the profiled row: never triggers, no state.
-    for (int i = 0; i < 5000; ++i)
-        mech.onActivate(0, 5000, i, out);
-    EXPECT_TRUE(out.empty());
-    // Hammering adjacent to the profiled row triggers at its threshold.
-    for (int i = 0; i < 499; ++i)
-        mech.onActivate(0, 101, i, out);
-    ASSERT_EQ(out.size(), 1u);
-    EXPECT_EQ(out[0].row, 100);
-}
-
-TEST(ProfileGuided, PerRowThresholdsIndependent)
-{
-    std::vector<RowProfileEntry> profile{{0, 100, 100.0},
-                                         {0, 200, 1000.0}};
-    ProfileGuidedRefresh mech(profile, 16384);
-    std::vector<VictimRef> out;
-    for (int i = 0; i < 99; ++i) {
-        mech.onActivate(0, 101, i, out);
-        mech.onActivate(0, 201, i, out);
-    }
-    // Only the weaker profiled row has fired so far.
-    ASSERT_EQ(out.size(), 1u);
-    EXPECT_EQ(out[0].row, 100);
-}
-
-TEST(ProfileGuided, RefreshRotationClearsCounters)
-{
-    std::vector<RowProfileEntry> profile{{0, 4, 100.0}};
-    ProfileGuidedRefresh mech(profile, 8);
-    std::vector<VictimRef> out;
-    for (int i = 0; i < 50; ++i)
-        mech.onActivate(0, 3, i, out);
-    mech.onRefresh(0, 8, out); // Full rotation restores every row.
-    for (int i = 0; i < 98; ++i)
-        mech.onActivate(0, 3, i, out);
-    EXPECT_TRUE(out.empty());
-}
-
-TEST(ProfileGuided, InvalidProfileRejected)
-{
-    std::vector<RowProfileEntry> bad{{0, 1, 0.5}};
-    EXPECT_THROW(ProfileGuidedRefresh(bad, 64),
-                 rowhammer::util::FatalError);
-    EXPECT_THROW(ProfileGuidedRefresh({}, 0),
-                 rowhammer::util::FatalError);
 }
 
 } // namespace

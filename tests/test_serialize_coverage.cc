@@ -240,7 +240,6 @@ TEST(SerializeCoverage, SystemConfigResultFields)
 TEST(SerializeCoverage, SystemConfigExecutionKnobs)
 {
     const core::SystemConfig base;
-    expectExecutionOnly("threads", base, [](auto &c) { c.threads = 7; });
     expectExecutionOnly("lockstep", base,
                         [](auto &c) { c.lockstep = true; });
     expectExecutionOnly("controller.eventDriven", base, [](auto &c) {
@@ -273,8 +272,6 @@ TEST(SerializeCoverage, ExperimentConfigExecutionKnobs)
 {
     const core::ExperimentConfig base;
     expectExecutionOnly("threads", base, [](auto &c) { c.threads = 9; });
-    expectExecutionOnly("systemThreads", base,
-                        [](auto &c) { c.systemThreads = 4; });
     expectExecutionOnly("checkpointPath", base, [](auto &c) {
         c.checkpointPath = "/tmp/elsewhere";
     });

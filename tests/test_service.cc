@@ -160,35 +160,6 @@ TEST(Protocol, HeaderBitFlipFuzzNeverCrashes)
     }
 }
 
-TEST(Protocol, FuzzCampaignFrameAndCodec)
-{
-    // The new request type is a first-class frame citizen...
-    const std::string frame = encodeFrame(MsgType::FuzzCampaign, "");
-    std::string why;
-    const auto h =
-        decodeFrameHeader(frame.substr(0, kFrameHeaderBytes), why);
-    ASSERT_TRUE(h.has_value()) << why;
-    EXPECT_EQ(h->type, MsgType::FuzzCampaign);
-
-    // ...and its codec roundtrips the run description bit-exactly.
-    FuzzCampaignRequest req;
-    req.config.seed = 77;
-    req.config.generations = 3;
-    req.config.population = 5;
-    req.config.baselineNSides = {4, 8};
-    const std::string bytes = req.encode();
-    FuzzCampaignRequest out;
-    ASSERT_TRUE(FuzzCampaignRequest::decode(bytes, out));
-    EXPECT_EQ(out.config.hash(), req.config.hash());
-
-    // Truncation at any boundary is a recognized failure, never UB.
-    for (std::size_t n = 0; n < bytes.size(); ++n) {
-        EXPECT_FALSE(
-            FuzzCampaignRequest::decode(bytes.substr(0, n), out));
-    }
-    EXPECT_FALSE(FuzzCampaignRequest::decode(bytes + "x", out));
-}
-
 TEST(Protocol, ReplyRoundTripAndRejects)
 {
     Reply reply;
@@ -363,13 +334,6 @@ TEST(Engine, MalformedAndUnsupportedAreTyped)
     EXPECT_EQ(engine.handle(MsgType::Ping, "").status, Status::Ok);
     EXPECT_EQ(engine.handle(MsgType::Reply, "").status,
               Status::UnsupportedType);
-    // The fuzz-campaign stub: recognized, typed, and refused without
-    // crashing (serving lands in a follow-on).
-    const Reply fuzz = engine.handle(
-        MsgType::FuzzCampaign,
-        encodeRequestPayload(0, FuzzCampaignRequest{}.encode()));
-    EXPECT_EQ(fuzz.status, Status::UnsupportedType);
-    EXPECT_FALSE(fuzz.message.empty());
     EXPECT_EQ(engine.handle(MsgType::Fig10, "xy").status,
               Status::MalformedRequest);
     EXPECT_EQ(engine
@@ -572,6 +536,29 @@ TEST(ServeConnection, GarbageHeaderGetsTypedErrorAndClose)
     std::string rest;
     EXPECT_NE(util::readExact(conn.client(), rest, 1),
               util::ReadStatus::Ok);
+}
+
+TEST(ServeConnection, ReservedTypeSixIsMalformed)
+{
+    // Type 6 is reserved, not servable: the header decoder names it...
+    const MsgType reserved = static_cast<MsgType>(6);
+    const std::string payload = encodeRequestPayload(0, "");
+    std::string why;
+    EXPECT_FALSE(decodeFrameHeader(
+                     encodeFrame(reserved, payload).substr(
+                         0, kFrameHeaderBytes),
+                     why)
+                     .has_value());
+    EXPECT_EQ(why, "unknown message type 6");
+
+    // ...and the server answers it with a typed error, no crash or
+    // hang.
+    ServiceFixture fx;
+    ServedConnection conn(*fx.server);
+    const CallResult result = callOnce(conn.client(), reserved, payload);
+    ASSERT_TRUE(result.haveReply) << result.error;
+    EXPECT_EQ(result.reply.status, Status::MalformedRequest);
+    EXPECT_EQ(result.reply.message, "unknown message type 6");
 }
 
 TEST(ServeConnection, CorruptPayloadCrcGetsTypedError)

@@ -310,14 +310,13 @@ struct EngineRun
 };
 
 /** One fixed workload under a chosen engine: the reference lockstep
- *  walk or parallel epochs with `threads` total threads. */
+ *  walk or serial epochs. */
 EngineRun
-runEngine(int channels, int threads, bool lockstep, bool with_para)
+runEngine(int channels, bool lockstep, bool with_para)
 {
     core::SystemConfig config = tinyConfig(2);
     config.organization.channels = channels;
     config.organization.rows = 1024;
-    config.threads = threads;
     config.lockstep = lockstep;
 
     std::vector<workload::AppProfile> apps{tinyApp(0, 120.0, 0.8),
@@ -406,33 +405,27 @@ expectIdentical(const EngineRun &a, const EngineRun &b,
 
 } // namespace engines
 
-TEST(System, ParallelEpochsMatchLockstepTwoChannels)
+TEST(System, SerialEpochsMatchLockstepTwoChannels)
 {
     for (const bool with_para : {false, true}) {
         const auto reference =
-            engines::runEngine(2, 1, /*lockstep=*/true, with_para);
+            engines::runEngine(2, /*lockstep=*/true, with_para);
         ASSERT_FALSE(reference.streams[0].empty());
         ASSERT_FALSE(reference.streams[1].empty());
-        for (const int threads : {1, 2, 4}) {
-            const auto epochs = engines::runEngine(
-                2, threads, /*lockstep=*/false, with_para);
-            engines::expectIdentical(
-                reference, epochs,
-                "threads=" + std::to_string(threads) +
-                    " para=" + std::to_string(with_para));
-        }
+        engines::expectIdentical(
+            reference, engines::runEngine(2, /*lockstep=*/false, with_para),
+            "para=" + std::to_string(with_para));
     }
 }
 
-TEST(System, ParallelEpochsMatchLockstepFourChannels)
+TEST(System, SerialEpochsMatchLockstepFourChannels)
 {
-    const auto reference =
-        engines::runEngine(4, 1, /*lockstep=*/true, /*with_para=*/true);
-    for (const int threads : {1, 5}) {
-        const auto epochs = engines::runEngine(
-            4, threads, /*lockstep=*/false, /*with_para=*/true);
-        engines::expectIdentical(reference, epochs,
-                                 "threads=" + std::to_string(threads));
+    for (const bool with_para : {false, true}) {
+        const auto reference =
+            engines::runEngine(4, /*lockstep=*/true, with_para);
+        engines::expectIdentical(
+            reference, engines::runEngine(4, /*lockstep=*/false, with_para),
+            "para=" + std::to_string(with_para));
     }
 }
 

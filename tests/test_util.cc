@@ -100,22 +100,6 @@ TEST(Rng, NormalMoments)
     EXPECT_NEAR(stat.stddev(), 2.0, 0.1);
 }
 
-TEST(Rng, LognormalPositive)
-{
-    Rng rng(19);
-    for (int i = 0; i < 1000; ++i)
-        EXPECT_GT(rng.lognormal(0.0, 1.0), 0.0);
-}
-
-TEST(Rng, ExponentialMean)
-{
-    Rng rng(23);
-    RunningStat stat;
-    for (int i = 0; i < 20000; ++i)
-        stat.add(rng.exponential(2.0));
-    EXPECT_NEAR(stat.mean(), 0.5, 0.02);
-}
-
 TEST(Rng, PoissonMeanSmallAndLarge)
 {
     Rng rng(29);
@@ -145,8 +129,6 @@ TEST(Rng, InvalidArgumentsPanic)
 {
     Rng rng(37);
     EXPECT_THROW(rng.uniformInt(10, 3), PanicError);
-    EXPECT_THROW(rng.exponential(0.0), PanicError);
-    EXPECT_THROW(rng.weibull(0.0, 1.0), PanicError);
     EXPECT_THROW(rng.poisson(-1.0), PanicError);
 }
 
@@ -301,6 +283,13 @@ TEST(Table, Formatting)
     EXPECT_EQ(fmt(1.23456, 2), "1.23");
     EXPECT_EQ(fmtKilo(4800), "4.8k");
     EXPECT_EQ(fmtKilo(157000), "157k");
+    // HCfirst sweep values below 1k print exactly; a tenth-of-a-kilo
+    // rounding would print 64 and 128 alike.
+    EXPECT_EQ(fmtKilo(64), "64");
+    EXPECT_EQ(fmtKilo(128), "128");
+    EXPECT_EQ(fmtKilo(256), "256");
+    EXPECT_EQ(fmtKilo(512), "512");
+    EXPECT_EQ(fmtKilo(1024), "1.0k");
     EXPECT_EQ(fmtPercent(0.923), "92.3%");
 }
 
