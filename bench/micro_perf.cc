@@ -147,6 +147,30 @@ BM_SystemRun(benchmark::State &state)
 BENCHMARK(BM_SystemRun)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 void
+BM_SystemRunSaturated(benchmark::State &state)
+{
+    // The saturated end of Figure 10: eight cores on mix 47 over one
+    // channel with increased refresh at HCfirst 69.2k keep the read
+    // queue full, so most CPU cycles are back-pressured retries
+    // (BM_SystemRun's mix 0 never fills a queue). Serial epochs.
+    core::SystemConfig config;
+    config.organization.rows = 512;
+    config.llcBytes = 1024 * 1024;
+    const auto mixes =
+        workload::mixCatalogue(config.cores, 2 * 1024 * 1024);
+    for (auto _ : state) {
+        core::System system(config, mixes[47].apps, 1);
+        const auto mechanism = mitigation::makeMitigation(
+            mitigation::Kind::IncreasedRefresh, 69200.0, config.timing,
+            config.organization.rows, 7);
+        system.setMitigation(mechanism.get());
+        benchmark::DoNotOptimize(system.run(300));
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_SystemRunSaturated)->Unit(benchmark::kMillisecond);
+
+void
 BM_ChipModelHammer(benchmark::State &state)
 {
     fault::ChipSpec spec = fault::configFor(fault::TypeNode::DDR4New,

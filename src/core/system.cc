@@ -78,15 +78,6 @@ SystemResult::mpki() const
         static_cast<double>(retired);
 }
 
-double
-SystemResult::ipcSum() const
-{
-    double sum = 0.0;
-    for (const auto &c : coreStats)
-        sum += c.ipc();
-    return sum;
-}
-
 System::System(SystemConfig config,
                const std::vector<workload::AppProfile> &apps,
                std::uint64_t seed)
@@ -251,29 +242,43 @@ System::sendFromCore(int core_id, std::uint64_t addr, bool write,
     return true;
 }
 
-void
+bool
 System::cpuTick()
 {
     ++cpuCycle_;
+    bool progress = false;
     while (!hitQueue_.empty() && hitQueue_.front().at <= cpuCycle_) {
         std::pop_heap(hitQueue_.begin(), hitQueue_.end(),
                       std::greater<>{});
         auto hit = std::move(hitQueue_.back());
         hitQueue_.pop_back();
         hit.done();
+        progress = true;
     }
     for (auto &c : cores_)
-        c->tick();
+        progress |= c->tick();
+    return progress;
 }
 
-void
-System::cpuDeviceStep()
+int
+System::takeCpuTicks()
 {
-    cpuBudget_ += cpuRatio_;
-    while (cpuBudget_ >= 1.0) {
-        cpuTick();
-        cpuBudget_ -= 1.0;
+    int ticks = 0;
+    for (cpuBudget_ += cpuRatio_; cpuBudget_ >= 1.0; cpuBudget_ -= 1.0)
+        ++ticks;
+    return ticks;
+}
+
+int
+System::syncChannels(dram::Cycle target)
+{
+    int space = 0;
+    for (auto &controller : controllers_) {
+        controller->advanceTo(target);
+        space += controller->readQueueSpace() +
+            controller->writeQueueSpace();
     }
+    return space;
 }
 
 dram::Cycle
@@ -291,7 +296,8 @@ System::step()
     for (auto &controller : controllers_)
         controller->tick();
     chanSyncTarget_ = controllers_.front()->now();
-    cpuDeviceStep();
+    for (int ticks = takeCpuTicks(); ticks > 0; --ticks)
+        cpuTick();
 }
 
 void
@@ -318,9 +324,36 @@ System::advanceEpoch(const std::function<bool()> &stop)
     // engine would have the channel when step t's requests land.
     epochHorizon_ = std::min(bound, start + kEpochCapCycles);
     dram::Cycle t = start;
+    // Set by a CPU tick that made no progress. No read completion fires
+    // inside an epoch, so until an LLC hit completes or a rejected send
+    // could be accepted (its channel's queue space grew), every later
+    // tick would repeat it exactly: each device step then only advances
+    // the channels to where a send would sync them and counts the idle
+    // CPU cycles. Queue space only grows while no core enqueues, so an
+    // unchanged total means no queue changed.
+    bool frozen = false;
+    int frozen_space = 0;
     do {
         chanSyncTarget_ = t + 1;
-        cpuDeviceStep();
+        const int ticks = takeCpuTicks();
+        if (frozen) {
+            frozen = syncChannels(t + 1) == frozen_space &&
+                (hitQueue_.empty() ||
+                 hitQueue_.front().at > cpuCycle_ + ticks);
+        }
+        if (frozen) {
+            cpuCycle_ += ticks;
+            for (auto &c : cores_)
+                c->idleCycles(ticks);
+        } else {
+            bool progress = true;
+            for (int i = 0; i < ticks; ++i)
+                progress = cpuTick();
+            if (!progress) {
+                frozen = true;
+                frozen_space = syncChannels(t + 1);
+            }
+        }
         ++t;
     } while (!(stop && stop()) && t < epochHorizon_);
     // Close the epoch at t: every channel catches up to the CPU. No

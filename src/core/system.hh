@@ -16,10 +16,12 @@
  * then the CPU side runs) and the epoch engine (advanceEpoch(): the
  * CPU side runs ahead up to the next cycle at which any controller
  * can call back into it, and each channel catches up only at
- * request-enqueue points and at the epoch's end). See
- * docs/ARCHITECTURE.md, "Threading model", for the determinism
- * argument. SystemConfig::lockstep forces the reference engine; it
- * does not affect results, so it is not part of the serialized config.
+ * request-enqueue points and at the epoch's end; while every core is
+ * stalled the engine skips the CPU ticks and only advances the
+ * channels). See docs/ARCHITECTURE.md, "Threading model", for the
+ * determinism argument. SystemConfig::lockstep forces the reference
+ * engine; it does not affect results, so it is not part of the
+ * serialized config.
  */
 
 #ifndef ROWHAMMER_CORE_SYSTEM_HH
@@ -90,9 +92,6 @@ struct SystemResult
 
     /** Aggregate LLC misses per kilo-instruction across cores. */
     double mpki() const;
-
-    /** Sum of per-core IPCs. */
-    double ipcSum() const;
 };
 
 /**
@@ -160,7 +159,10 @@ class System
      * completion callbacks fire, in canonical channel order; results
      * are bit-identical to the lockstep engine. `stop` is polled once
      * per device step (like run()'s retirement check in lockstep mode)
-     * and ends the epoch early.
+     * and ends the epoch early. Once a CPU tick makes no progress, the
+     * following device steps only advance the channels and count idle
+     * CPU cycles, until a channel's queue space changes or an LLC hit
+     * is due.
      */
     void advanceEpoch(const std::function<bool()> &stop = {});
 
@@ -178,9 +180,14 @@ class System
 
     bool sendFromCore(int core_id, std::uint64_t addr, bool write,
                       std::function<void()> done);
-    void cpuTick();
-    /** One device step's worth of CPU cycles (budget accumulation). */
-    void cpuDeviceStep();
+    /** One CPU cycle; false iff no core progressed (Core::tick) and no
+     *  LLC hit completed. */
+    bool cpuTick();
+    /** CPU cycles owed to one device step (budget accumulation). */
+    int takeCpuTicks();
+    /** Advance every channel to `target`; returns the free read- plus
+     *  write-queue space summed over channels. */
+    int syncChannels(dram::Cycle target);
     /** Furthest device cycle any channel has reached. */
     dram::Cycle deviceNow() const;
     /** Per-channel stats folded into one aggregate (see

@@ -15,10 +15,11 @@ Core::Core(TraceSource &trace, SendFn send, int issue_width,
     window_.resize(static_cast<std::size_t>(window_size));
 }
 
-void
+bool
 Core::tick()
 {
     ++stats_.cycles;
+    bool progress = false;
 
     // Retire in order, up to the issue width.
     for (int i = 0; i < issueWidth_ && windowCount_ != 0; ++i) {
@@ -26,6 +27,7 @@ Core::tick()
             break;
         windowPop();
         ++stats_.retired;
+        progress = true;
     }
 
     // Issue up to the issue width.
@@ -34,16 +36,14 @@ Core::tick()
             entry_ = trace_.next();
             pendingBubbles_ = entry_.bubbles;
             haveEntry_ = true;
+            progress = true;
         }
         if (static_cast<int>(windowCount_) >= windowSize_)
             break;
         if (pendingBubbles_ > 0) {
             windowPush().done = true;
             --pendingBubbles_;
-            continue;
-        }
-        // The pending memory access.
-        if (entry_.write) {
+        } else if (entry_.write) {
             // Posted write: does not block retirement, but must be
             // accepted by the memory system.
             if (!send_(entry_.addr, true, nullptr))
@@ -51,19 +51,22 @@ Core::tick()
             windowPush().done = true;
             ++stats_.memWrites;
             haveEntry_ = false;
-            continue;
+        } else {
+            // Ring slots never move, so capturing the slot address is
+            // safe: the entry cannot retire (and thus be reused) until
+            // done.
+            WindowEntry *slot = &windowPush();
+            if (!send_(entry_.addr, false,
+                       [slot] { slot->done = true; })) {
+                --windowCount_; // Undo the push; retry on a later tick.
+                break;
+            }
+            ++stats_.memReads;
+            haveEntry_ = false;
         }
-        // Ring slots never move, so capturing the slot address is
-        // safe: the entry cannot retire (and thus be reused) until
-        // done.
-        WindowEntry *slot = &windowPush();
-        if (!send_(entry_.addr, false, [slot] { slot->done = true; })) {
-            --windowCount_; // Undo the push; retry next cycle.
-            break;
-        }
-        ++stats_.memReads;
-        haveEntry_ = false;
+        progress = true;
     }
+    return progress;
 }
 
 } // namespace rowhammer::cpu

@@ -63,7 +63,7 @@ struct CoreStats
  * Trace-driven core. The memory system is abstracted as a send function:
  * send(addr, write, complete_callback) returns false when the memory
  * system cannot accept the request this cycle (back-pressure; the core
- * retries next cycle).
+ * retries on a later tick).
  */
 class Core
 {
@@ -80,8 +80,17 @@ class Core
     Core(TraceSource &trace, SendFn send, int issue_width = 4,
          int window_size = 128);
 
-    /** Advance one CPU clock cycle. */
-    void tick();
+    /**
+     * Advance one CPU clock cycle. Returns false when the tick changed
+     * nothing but stats().cycles: nothing retired, nothing entered the
+     * window, no trace entry was fetched and no send was accepted. Such
+     * a core repeats the same tick until a completion callback fires or
+     * the send function's answer changes.
+     */
+    bool tick();
+
+    /** The effect of `n` ticks that return false (see tick()). */
+    void idleCycles(std::int64_t n) { stats_.cycles += n; }
 
     const CoreStats &stats() const { return stats_; }
 

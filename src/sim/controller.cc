@@ -50,6 +50,7 @@ Controller::Controller(dram::Organization org, dram::TimingSpec timing,
         (static_cast<std::size_t>(org_.totalBanks()) + 63) / 64, 0);
     openRowByBank_.assign(static_cast<std::size_t>(org_.totalBanks()),
                           -1);
+    bankSeen_.assign(2 * static_cast<std::size_t>(org_.totalBanks()), 0);
 }
 
 void
@@ -89,6 +90,7 @@ Controller::enqueue(Request request)
 {
     request.decoded = mapper_.decode(request.addr);
     request.arrival = now_;
+    protectedKey_ = -1; // The queues are the mask's input.
 
     if (request.type == Request::Type::Write) {
         if (static_cast<int>(writeQueue_.size()) >=
@@ -253,6 +255,10 @@ void
 Controller::computeProtectedBanks(bool include_reads,
                                   bool include_writes) const
 {
+    const int key = (include_reads ? 1 : 0) | (include_writes ? 2 : 0);
+    if (key == protectedKey_)
+        return;
+    protectedKey_ = key;
     refreshOpenRows();
     std::fill(protectedMask_.begin(), protectedMask_.end(), 0);
     auto scan = [&](const std::deque<Request> &queue) {
@@ -325,40 +331,6 @@ Controller::tryIssueVictimRefresh()
 }
 
 bool
-Controller::issueForRequest(Request &request, bool row_hit_only)
-{
-    const dram::Address &addr = request.decoded;
-    const bool is_read = request.type == Request::Type::Read;
-    const bool open = device_.isOpen(addr);
-    const bool row_hit = open && device_.openRow(addr) == addr.row;
-
-    if (row_hit_only && !row_hit)
-        return false;
-
-    if (row_hit) {
-        const auto cmd = is_read ? dram::Command::RD : dram::Command::WR;
-        if (!device_.canIssue(cmd, addr, now_))
-            return false;
-        device_.issue(cmd, addr, now_);
-        bankLastUse_[static_cast<std::size_t>(org_.flatBank(addr))] =
-            now_;
-        return true;
-    }
-    if (open) {
-        if (!device_.canIssue(dram::Command::PRE, addr, now_))
-            return false;
-        device_.issue(dram::Command::PRE, addr, now_);
-        return true;
-    }
-    if (!device_.canIssue(dram::Command::ACT, addr, now_))
-        return false;
-    device_.issue(dram::Command::ACT, addr, now_);
-    bankLastUse_[static_cast<std::size_t>(org_.flatBank(addr))] = now_;
-    observeActivate(addr);
-    return true;
-}
-
-bool
 Controller::tryCloseIdleRow()
 {
     // Open-page policy with timeout: close rows no request has touched
@@ -414,32 +386,43 @@ Controller::tryIssueDemand()
     // be precharged by younger conflicting requests (hit priority).
     computeProtectedBanks(!serve_writes, serve_writes);
 
-    // FR-FCFS: oldest row-hit first, then oldest overall.
+    // FR-FCFS: oldest row-hit first, then oldest overall. Nothing
+    // issues mid-scan and the queue holds one request type, so each
+    // bank's command is asked of the device at most once per pass.
+    const bool is_read = !serve_writes;
+    std::fill(bankSeen_.begin(), bankSeen_.end(), 0);
     for (int pass = 0; pass < 2; ++pass) {
-        const bool row_hit_only = pass == 0;
+        // Pass 1 skips the hits: pass 0 found each one's RD/WR illegal.
+        const bool hits_pass = pass == 0;
         for (std::size_t i = 0; i < queue.size(); ++i) {
             Request &request = queue[i];
             const int flat = org_.flatBank(request.decoded);
             const int open_row =
                 openRowByBank_[static_cast<std::size_t>(flat)];
             const bool row_hit = open_row == request.decoded.row;
+            if (row_hit != hits_pass)
+                continue;
             // A conflicting request must wait while the open row still
             // serves queued hits.
-            if (!row_hit_only && !row_hit && open_row >= 0 &&
-                protectedBank(flat)) {
+            if (!row_hit && open_row >= 0 && protectedBank(flat))
                 continue;
-            }
-            const bool will_finish =
-                row_hit &&
-                device_.canIssue(request.type == Request::Type::Read
-                                     ? dram::Command::RD
-                                     : dram::Command::WR,
-                                 request.decoded, now_);
-            if (!issueForRequest(request, row_hit_only))
+            if (seenBefore(flat, row_hit))
+                continue; // Same bank, same command: still illegal.
+            dram::Command cmd = dram::Command::ACT;
+            if (row_hit)
+                cmd = is_read ? dram::Command::RD : dram::Command::WR;
+            else if (open_row >= 0)
+                cmd = dram::Command::PRE;
+            if (!device_.canIssue(cmd, request.decoded, now_))
                 continue;
+            device_.issue(cmd, request.decoded, now_);
             acted_ = true;
-            if (will_finish) {
-                if (request.type == Request::Type::Read) {
+            if (cmd != dram::Command::PRE)
+                bankLastUse_[static_cast<std::size_t>(flat)] = now_;
+            if (cmd == dram::Command::ACT)
+                observeActivate(request.decoded);
+            if (row_hit) {
+                if (is_read) {
                     ++stats_.readsServed;
                     if (request.onComplete) {
                         completions_.emplace_back(
@@ -465,6 +448,7 @@ void
 Controller::stepAt()
 {
     acted_ = false;
+    protectedKey_ = -1; // Commands issued since the last mask.
 
     while (!completions_.empty() && completions_.front().first <= now_) {
         std::pop_heap(completions_.begin(), completions_.end(),
@@ -498,11 +482,14 @@ Controller::demandWake() const
         return wake;
 
     computeProtectedBanks(!serve_writes, serve_writes);
+    std::fill(bankSeen_.begin(), bankSeen_.end(), 0);
     for (const Request &request : queue) {
         const int flat = org_.flatBank(request.decoded);
         const int open_row =
             openRowByBank_[static_cast<std::size_t>(flat)];
         const bool row_hit = open_row == request.decoded.row;
+        if (seenBefore(flat, row_hit))
+            continue; // Same bank, same command: same earliest cycle.
         dram::Command cmd;
         if (row_hit) {
             cmd = request.type == Request::Type::Read ? dram::Command::RD

@@ -226,7 +226,10 @@ class Controller
      * Recompute the protected-bank bitmask: banks whose open row still
      * has queued row-hit requests (those must not be precharged by
      * younger conflicting requests or victim refreshes). Also refreshes
-     * the open-row snapshot.
+     * the open-row snapshot. Skipped when the mask already holds the
+     * result for these arguments: stepAt() and enqueue() invalidate it,
+     * and no command issues between its first and last use within one
+     * stepAt() and the computeWake() that follows.
      */
     void computeProtectedBanks(bool include_reads,
                                bool include_writes) const;
@@ -241,7 +244,22 @@ class Controller
     bool tryCloseIdleRow();
     bool tryIssueVictimRefresh();
     bool tryIssueDemand();
-    bool issueForRequest(Request &request, bool row_hit_only);
+    /**
+     * Whether the (flat bank, command slot) pair was already seen by the
+     * current FR-FCFS scan, marking it seen. Slot 0 is the row-hit
+     * column command, slot 1 the PRE or ACT a non-hit needs. Device
+     * legality and earliest-issue cycles depend only on rank,
+     * bank-group and bank state, so one answer serves every request to
+     * that bank. Each scan clears bankSeen_ first.
+     */
+    bool seenBefore(int flat_bank, bool row_hit) const
+    {
+        const auto slot = static_cast<std::size_t>(flat_bank) * 2 +
+            (row_hit ? 0 : 1);
+        const bool seen = bankSeen_[slot] != 0;
+        bankSeen_[slot] = 1;
+        return seen;
+    }
 
     dram::Organization org_;
     dram::Device device_;
@@ -276,6 +294,11 @@ class Controller
     std::vector<mitigation::VictimRef> victimScratch_;
     /** Reusable protected-bank bitmask (one bit per flat bank). */
     mutable std::vector<std::uint64_t> protectedMask_;
+    /** computeProtectedBanks() arguments protectedMask_ holds
+     *  (reads | writes << 1), or -1 when stale. */
+    mutable int protectedKey_ = -1;
+    /** Per-scan (flat bank, command slot) flags; see seenBefore(). */
+    mutable std::vector<std::uint8_t> bankSeen_;
     /** Open row per flat bank (-1 = closed); see refreshOpenRows(). */
     mutable std::vector<int> openRowByBank_;
 

@@ -9,6 +9,7 @@
 #include "util/logging.hh"
 
 #include <queue>
+#include <vector>
 
 #include "cpu/cache.hh"
 #include "cpu/core.hh"
@@ -148,6 +149,67 @@ TEST(Core, BackpressureRetriesSend)
     // Rejected sends do not count as issued memory reads.
     EXPECT_GT(core.stats().memReads, 0);
     EXPECT_GE(attempts, 4);
+}
+
+TEST(Core, TickReportsProgress)
+{
+    // Back-pressure harness: sends are rejected until `accept` is set,
+    // and accepted reads complete only when the test fires them.
+    ScriptedTrace trace(TraceEntry{2, 64, false});
+    bool accept = false;
+    std::vector<std::function<void()>> pending;
+    Core core(trace,
+              [&](std::uint64_t, bool, std::function<void()> done) {
+                  if (!accept)
+                      return false;
+                  pending.push_back(std::move(done));
+                  return true;
+              });
+    EXPECT_TRUE(core.tick());  // Fetches an entry, issues its bubbles.
+    EXPECT_TRUE(core.tick());  // Retires them; the read is rejected.
+    EXPECT_FALSE(core.tick()); // Blocked: only the cycle count moves.
+    EXPECT_FALSE(core.tick());
+    EXPECT_EQ(core.stats().retired, 2);
+    EXPECT_EQ(core.stats().memReads, 0);
+
+    accept = true;
+    EXPECT_TRUE(core.tick()); // Read, two bubbles, the next read.
+    EXPECT_EQ(core.stats().memReads, 2);
+    // No read returns, so the window fills behind the first one.
+    for (int i = 0; i < 1000 && core.tick(); ++i) {
+    }
+    EXPECT_EQ(core.windowOccupancy(), 128u);
+    EXPECT_FALSE(core.tick());
+    pending.front()();
+    EXPECT_TRUE(core.tick()); // The oldest read retires.
+}
+
+TEST(Core, IdleCyclesMatchBlockedTicks)
+{
+    // Two identical cores behind a memory system that rejects every
+    // write: once blocked, n false ticks and idleCycles(n) must leave
+    // the same state.
+    const auto reject = [](std::uint64_t, bool, std::function<void()>) {
+        return false;
+    };
+    ScriptedTrace trace_ticked(TraceEntry{3, 64, true});
+    ScriptedTrace trace_idled(TraceEntry{3, 64, true});
+    Core ticked(trace_ticked, reject);
+    Core idled(trace_idled, reject);
+    for (Core *core : {&ticked, &idled}) {
+        for (int i = 0; i < 100 && core->tick(); ++i) {
+        }
+    }
+    for (int i = 0; i < 37; ++i)
+        EXPECT_FALSE(ticked.tick());
+    idled.idleCycles(37);
+
+    EXPECT_EQ(ticked.stats().cycles, idled.stats().cycles);
+    EXPECT_EQ(ticked.stats().retired, idled.stats().retired);
+    EXPECT_EQ(ticked.stats().memReads, idled.stats().memReads);
+    EXPECT_EQ(ticked.stats().memWrites, idled.stats().memWrites);
+    EXPECT_EQ(ticked.windowOccupancy(), idled.windowOccupancy());
+    EXPECT_EQ(ticked.stats().retired, 3);
 }
 
 TEST(Core, WritesDoNotBlockRetirement)
