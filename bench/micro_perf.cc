@@ -1,16 +1,20 @@
 /**
  * @file
  * Google-benchmark microbenchmarks of the simulation substrates: DRAM
- * command issue, controller ticks, fault-model hammering, and ECC
- * decode throughput. These bound the wall-clock cost of the experiment
- * harness itself.
+ * command issue, controller ticks, fault-model hammering, ECC decode
+ * throughput, and attack sessions. These bound the wall-clock cost of
+ * the experiment harness itself.
  */
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
+#include "attack/builder.hh"
+#include "attack/fuzzer.hh"
+#include "attack/session.hh"
 #include "charlib/hcfirst.hh"
 #include "core/system.hh"
 #include "dram/address_functions.hh"
@@ -18,6 +22,7 @@
 #include "ecc/ondie.hh"
 #include "fault/chip_model.hh"
 #include "mitigation/factory.hh"
+#include "mitigation/trr.hh"
 #include "sim/controller.hh"
 #include "util/logging.hh"
 #include "workload/synthetic.hh"
@@ -214,6 +219,61 @@ BM_HcFirstSearch(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_HcFirstSearch);
+
+void
+BM_HammerSession(benchmark::State &state)
+{
+    // One attack::runPattern session on the fuzzing campaign's chip
+    // (FuzzerConfig defaults): arg 0 = a FuzzingParameterSet draw at
+    // the campaign's budget against the campaign's TRR sampler (size
+    // 4, InOrder), the fuzzer's inner loop; arg 1 = PARA on an 8-sided
+    // pattern, the per-ACT default path of Mitigation::onActivateRun.
+    const attack::FuzzerConfig config;
+    fault::ChipModel chip(config.spec, config.hcFirst, config.seed,
+                          config.geometry);
+    const int step = chip.aggressorStep();
+    const int rows = config.geometry.rows;
+    const int bank = chip.weakestBank();
+    const int victim =
+        std::clamp(chip.weakestRow(), 1 + step, rows - 2 - step);
+    const bool fuzzed = state.range(0) == 0;
+    attack::AccessPattern pattern;
+    if (fuzzed) {
+        const std::int64_t budget = static_cast<std::int64_t>(
+            20.0 * config.hcFirst * config.maxOrder);
+        pattern = attack::FuzzingParameterSet(config, step, budget)
+                      .sample(bank, victim, 1);
+    } else {
+        pattern = attack::PatternBuilder(
+                      attack::BuilderConfig{.rows = rows,
+                                            .step = step,
+                                            .activationBudget = 200000},
+                      1)
+                      .nSided(bank, victim, 8);
+    }
+    attack::SessionConfig session;
+    session.actsPerRefInterval = config.actsPerRefInterval;
+    for (auto _ : state) {
+        std::unique_ptr<mitigation::Mitigation> mechanism;
+        if (fuzzed) {
+            mechanism = std::make_unique<mitigation::TrrSampler>(
+                7, mitigation::TrrSampler::Params{
+                       .samplerSize = config.samplerSize,
+                       .refreshSlotsPerRef = config.samplerSize});
+        } else {
+            mechanism = mitigation::makeMitigation(
+                mitigation::Kind::PARA, config.hcFirst,
+                dram::ddr4_2400(), rows, 7);
+        }
+        util::Rng rng(3);
+        benchmark::DoNotOptimize(
+            attack::runPattern(chip, pattern, mechanism.get(), session,
+                               rng));
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            pattern.activationBudget());
+}
+BENCHMARK(BM_HammerSession)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 } // namespace
 

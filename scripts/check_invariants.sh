@@ -107,10 +107,12 @@ lint() {
 
     # --- [sercov] serialize-coverage of hash()-bearing configs -------
     coverage="$root/tests/test_serialize_coverage.cc"
+    # /dev/null keeps awk off stdin when a tree has no headers (the
+    # self-test fixtures with only .cc files).
     # shellcheck disable=SC2086
     structs=$(awk '/^(struct|class) [A-Za-z_]/ { name = $2 }
                    /hash\(\) const;/ { if (name != "") print name }' \
-              $(find "$root/src" -name '*.hh' | sort) | sort -u)
+              $(find "$root/src" -name '*.hh' | sort) /dev/null | sort -u)
     for s in $structs; do
         if [ ! -f "$coverage" ] || ! grep -q "\b$s\b" "$coverage"; then
             echo "[sercov] $s declares hash() but is not exercised" \
@@ -132,7 +134,9 @@ self_test() {
         if out=$("$0" --root "$dir" 2>&1); then
             echo "SELF-TEST FAIL: $label passed the linter" >&2
             failures=$((failures + 1))
-        elif ! printf '%s\n' "$out" | grep -q "\[$rule\]"; then
+        # A here-string, not a pipe: under pipefail, grep -q exiting
+        # on its first match can SIGPIPE the writer and fail the check.
+        elif ! grep -q "\[$rule\]" <<< "$out"; then
             echo "SELF-TEST FAIL: $label did not trip [$rule]:" >&2
             printf '%s\n' "$out" >&2
             failures=$((failures + 1))

@@ -41,32 +41,36 @@ AccessPattern::activationBudget() const
     return static_cast<std::int64_t>(periods) * activationsPerPeriod();
 }
 
+std::vector<fault::AggressorDose>
+AccessPattern::bursts() const
+{
+    std::vector<fault::AggressorDose> out;
+    for (int tick = 0; tick < basePeriod; ++tick) {
+        for (const AggressorSlot &slot : slots) {
+            const int interval = basePeriod / slot.frequency;
+            if (tick < slot.phase || (tick - slot.phase) % interval != 0)
+                continue;
+            if (!out.empty() && out.back().row == slot.row)
+                out.back().count += slot.amplitude;
+            else
+                out.push_back(fault::AggressorDose{slot.row, slot.amplitude});
+        }
+    }
+    return out;
+}
+
 void
 AccessPattern::expand(std::vector<int> &out) const
 {
     out.clear();
     out.reserve(static_cast<std::size_t>(activationBudget()));
-    for (int period = 0; period < periods; ++period) {
-        for (int tick = 0; tick < basePeriod; ++tick) {
-            for (const AggressorSlot &slot : slots) {
-                const int interval = basePeriod / slot.frequency;
-                if (tick < slot.phase ||
-                    (tick - slot.phase) % interval != 0) {
-                    continue;
-                }
-                for (int a = 0; a < slot.amplitude; ++a)
-                    out.push_back(slot.row);
-            }
+    const std::vector<fault::AggressorDose> period = bursts();
+    for (int p = 0; p < periods; ++p) {
+        for (const fault::AggressorDose &burst : period) {
+            out.insert(out.end(), static_cast<std::size_t>(burst.count),
+                       burst.row);
         }
     }
-}
-
-std::vector<int>
-AccessPattern::schedule() const
-{
-    std::vector<int> out;
-    expand(out);
-    return out;
 }
 
 std::vector<fault::AggressorDose>

@@ -12,10 +12,11 @@
  * each firing `frequency` times per base period at a phase offset, with
  * `amplitude` consecutive activations per firing.
  *
- * A pattern is pure data: expand() deterministically lowers it to the
- * ordered activation stream that drives either the fast path
- * (fault::ChipModel::hammerRows / attack::runPattern) or the
- * cycle-accurate path (attack::TraceAdapter -> sim::Controller).
+ * A pattern is pure data: bursts() deterministically lowers one period
+ * to its runs of same-row activations, which drive the fast path
+ * (attack::runPattern) directly; expand() repeats them into the
+ * ordered activation stream of the cycle-accurate path
+ * (attack::TraceAdapter -> sim::Controller).
  */
 
 #ifndef ROWHAMMER_ATTACK_PATTERN_HH
@@ -86,14 +87,19 @@ struct AccessPattern
     std::int64_t activationBudget() const;
 
     /**
-     * Lower the pattern to its ordered activation stream: one row per
-     * activation, exactly activationBudget() entries. Slots firing on
-     * the same tick are emitted in slot order.
+     * Lower one period to its ordered bursts: runs of consecutive
+     * activations of one row (`count` ACTs of `row`), adjacent
+     * same-row activations merged. Slots firing on the same tick are
+     * emitted in slot order. The counts sum to activationsPerPeriod().
+     */
+    std::vector<fault::AggressorDose> bursts() const;
+
+    /**
+     * Lower the pattern to its ordered activation stream: `periods`
+     * repetitions of bursts(), one row per activation, exactly
+     * activationBudget() entries.
      */
     void expand(std::vector<int> &out) const;
-
-    /** expand() into a fresh vector. */
-    std::vector<int> schedule() const;
 
     /**
      * Per-row activation totals (ascending row order): the weighted

@@ -35,12 +35,10 @@ runPattern(fault::ChipModel &chip, const AccessPattern &pattern,
     if (config.actsPerRefInterval < 1)
         util::fatal("attack session: actsPerRefInterval must be positive");
 
-    const fault::DataPattern dp =
-        config.dataPattern.value_or(chip.spec().worstPattern);
     const int bank = pattern.bank;
     const int rows = chip.geometry().rows;
 
-    chip.writePattern(dp, pattern.victimRow & 1);
+    chip.writePattern(chip.spec().worstPattern, pattern.victimRow & 1);
     chip.refreshRow(bank, pattern.victimRow);
 
     SessionResult result;
@@ -49,54 +47,50 @@ runPattern(fault::ChipModel &chip, const AccessPattern &pattern,
     // happened: harvest a row's observable flips immediately before
     // every restorative row cycle (rows below their flip region read
     // back clean at zero cost, so latching is cheap).
-    const auto latch_and_refresh = [&](int row) {
-        chip.readRowInto(bank, row, rng, result.flips);
-        chip.refreshRow(bank, row);
-    };
     const auto apply_victims = [&] {
         for (const mitigation::VictimRef &ref : scratch) {
             if (ref.flatBank != bank || ref.row < 0 || ref.row >= rows)
                 continue; // Neighbor of an edge row, or another bank.
-            latch_and_refresh(ref.row);
+            chip.readRowInto(bank, ref.row, rng, result.flips);
+            chip.refreshRow(bank, ref.row);
             ++result.mitigationRefreshes;
         }
         scratch.clear();
     };
 
-    const std::vector<int> schedule = pattern.schedule();
-    const int rows_per_ref =
-        config.autoRefreshRotation ? config.rowsPerRef : 0;
-    int rotation = 0;
-    std::uint64_t ref_index = 0;
-
-    for (std::size_t i = 0; i < schedule.size(); ++i) {
-        const int row = schedule[i];
-        chip.addActivations(bank, row, 1);
-        ++result.activations;
-        if (mechanism) {
-            scratch.clear();
-            mechanism->onActivate(bank, row,
-                                  static_cast<dram::Cycle>(i), scratch);
-            apply_victims();
+    // Replay burst by burst, cutting a burst only at a REF boundary.
+    // The chip's activation state is a count per wordline and the
+    // mechanism never reads the chip, so handing a run of ACTs to both
+    // at once is exact as long as the chip has every ACT before it is
+    // next read: when victims are applied, and at the end.
+    const std::vector<fault::AggressorDose> bursts = pattern.bursts();
+    std::int64_t until_ref = config.actsPerRefInterval;
+    for (int period = 0; period < pattern.periods; ++period) {
+        for (const fault::AggressorDose &burst : bursts) {
+            for (std::int64_t left = burst.count; left > 0;) {
+                std::int64_t n = std::min(left, until_ref);
+                if (mechanism) {
+                    n = mechanism->onActivateRun(bank, burst.row, n,
+                                                 result.activations,
+                                                 scratch);
+                }
+                chip.addActivations(bank, burst.row, n);
+                result.activations += n;
+                left -= n;
+                until_ref -= n;
+                apply_victims();
+                if (until_ref > 0)
+                    continue;
+                until_ref = config.actsPerRefInterval;
+                if (mechanism) {
+                    mechanism->onRefresh(
+                        static_cast<std::uint64_t>(result.refIntervals), 0,
+                        scratch);
+                    apply_victims();
+                }
+                ++result.refIntervals;
+            }
         }
-
-        if ((static_cast<std::int64_t>(i) + 1) %
-                config.actsPerRefInterval !=
-            0) {
-            continue;
-        }
-        ++result.refIntervals;
-        if (config.autoRefreshRotation) {
-            for (int r = 0; r < config.rowsPerRef; ++r)
-                latch_and_refresh((rotation + r) % rows);
-            rotation = (rotation + config.rowsPerRef) % rows;
-        }
-        if (mechanism) {
-            scratch.clear();
-            mechanism->onRefresh(ref_index, rows_per_ref, scratch);
-            apply_victims();
-        }
-        ++ref_index;
     }
 
     // Read back every row the pattern can have disturbed, in ascending

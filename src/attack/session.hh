@@ -5,28 +5,30 @@
  * activation stream — the arena where attack patterns and defenses
  * meet without the cycle-accurate controller's cost.
  *
- * The session replays the pattern's activation schedule one ACT at a
- * time. Each ACT is reported to the mechanism (as the memory controller
- * or the in-DRAM TRR logic would see it); every `actsPerRefInterval`
- * ACTs a REF boundary fires, giving the mechanism its onRefresh hook.
- * Victim-row refreshes the mechanism requests are applied to the chip
- * as restorative row cycles.
+ * The session replays the pattern one burst at a time: a burst is a
+ * run of consecutive activations of one row (AccessPattern::bursts()),
+ * cut only where it crosses a REF boundary. Each burst is reported to
+ * the mechanism in one Mitigation::onActivateRun call (as the memory
+ * controller or the in-DRAM TRR logic would see its ACTs) and added to
+ * the chip in one step; every `actsPerRefInterval` ACTs a REF boundary
+ * fires, giving the mechanism its onRefresh hook. Victim-row refreshes
+ * the mechanism requests are applied to the chip as restorative row
+ * cycles. Flips, counts and RNG draws are those of an ACT-by-ACT
+ * replay.
  *
  * Refresh-window modeling: the attack is assumed to be synchronized
  * with REF and to fit before the victim's own auto-refresh slot comes
  * around (Blacksmith synchronizes exactly this way; the paper's
  * Algorithm 1 likewise bounds the core loop to one refresh window), so
- * by default no auto-refresh rotation touches the array and mechanisms
- * see rows_per_ref = 0. Enabling `autoRefreshRotation` models the
- * rotation explicitly and consistently on both the chip and the
- * mechanism (rotation starting at row 0, as IdealRefresh assumes).
+ * no auto-refresh rotation touches the array, mechanisms see
+ * rows_per_ref = 0, and the array holds the chip's worst-case data
+ * pattern.
  */
 
 #ifndef ROWHAMMER_ATTACK_SESSION_HH
 #define ROWHAMMER_ATTACK_SESSION_HH
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "attack/pattern.hh"
@@ -47,12 +49,6 @@ struct SessionConfig
      * in-order samplers see round-aligned intervals).
      */
     std::int64_t actsPerRefInterval = 240;
-    /** Model the auto-refresh rotation (see the file comment). */
-    bool autoRefreshRotation = false;
-    /** Rows refreshed per REF per bank when the rotation is modeled. */
-    int rowsPerRef = 1;
-    /** Data pattern; defaults to the chip's worst-case pattern. */
-    std::optional<fault::DataPattern> dataPattern;
 };
 
 /** Outcome of one pattern-vs-mechanism session. */

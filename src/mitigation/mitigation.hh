@@ -13,6 +13,7 @@
 #ifndef ROWHAMMER_MITIGATION_MITIGATION_HH
 #define ROWHAMMER_MITIGATION_MITIGATION_HH
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -34,7 +35,11 @@ struct VictimRef
  *
  * Implementations must be deterministic given their constructor Rng
  * seed; the controller guarantees onActivate is called exactly once per
- * demand/auto ACT (not for ACTs the mechanism itself induced).
+ * demand/auto ACT (not for ACTs the mechanism itself induced). The
+ * attack session (attack::runPattern) reports a pattern's runs of
+ * consecutive same-row ACTs through onActivateRun instead, which must
+ * leave the mechanism in the state the same ACTs fed one at a time
+ * through onActivate would.
  */
 class Mitigation
 {
@@ -50,6 +55,28 @@ class Mitigation
      */
     virtual void onActivate(int flat_bank, int row, dram::Cycle now,
                             std::vector<VictimRef> &out) = 0;
+
+    /**
+     * Observe up to `count` (>= 1) consecutive activations of
+     * (flat_bank, row) at cycles first, first + 1, ...; stop right
+     * after the first one that appends victims to `out` (empty on
+     * entry). Returns how many activations were observed, in
+     * [1, count]; it may stop early for any reason, and the caller
+     * hands the rest of the run back. The default calls onActivate
+     * once per activation; mechanisms override it where a run has a
+     * closed form.
+     */
+    virtual std::int64_t
+    onActivateRun(int flat_bank, int row, std::int64_t count,
+                  dram::Cycle first, std::vector<VictimRef> &out)
+    {
+        for (std::int64_t i = 0; i < count; ++i) {
+            onActivate(flat_bank, row, first + i, out);
+            if (!out.empty())
+                return i + 1;
+        }
+        return count;
+    }
 
     /**
      * Observe an auto-refresh command. `ref_index` counts REFs since

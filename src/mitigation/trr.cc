@@ -34,31 +34,42 @@ void
 TrrSampler::onActivate(int flat_bank, int row, dram::Cycle now,
                        std::vector<VictimRef> &out)
 {
-    (void)now;
+    (void)onActivateRun(flat_bank, row, 1, now, out);
+}
+
+std::int64_t
+TrrSampler::onActivateRun(int flat_bank, int row, std::int64_t count,
+                          dram::Cycle first, std::vector<VictimRef> &out)
+{
+    (void)first;
     (void)out; // TRR refreshes only under cover of REF commands.
 
+    // A row that hits, or takes a free slot, hits for the rest of the
+    // run: nothing else touches the table until the run ends.
+    const auto n = static_cast<std::uint64_t>(count);
     const int idx = find(flat_bank, row);
     if (idx >= 0) {
-        ++table_[static_cast<std::size_t>(idx)].count;
-        return;
+        table_[static_cast<std::size_t>(idx)].count += n;
+        return count;
     }
 
     if (static_cast<int>(table_.size()) < params_.samplerSize) {
-        table_.push_back(Entry{flat_bank, row, 1});
-        return;
+        table_.push_back(Entry{flat_bank, row, n});
+        return count;
     }
 
-    ++missesSinceRef_;
     switch (params_.policy) {
       case Policy::InOrder:
-        // Slots are taken for the rest of the interval; the activation
-        // goes unsampled. This is the saturation an N-sided pattern
+        // Slots are taken for the rest of the interval; the activations
+        // go unsampled. This is the saturation an N-sided pattern
         // with front-loaded decoys exploits.
-        break;
+        missesSinceRef_ += n;
+        return count;
       case Policy::Frequency:
         // Misra-Gries: a miss against a full table decrements every
         // counter; exhausted entries free their slot. The new row is
         // not inserted (it only wins a slot once incumbents decay).
+        ++missesSinceRef_;
         for (Entry &entry : table_)
             --entry.count;
         std::erase_if(table_,
@@ -68,6 +79,7 @@ TrrSampler::onActivate(int flat_bank, int row, dram::Cycle now,
         // Reservoir sampling over this interval's sampler misses: the
         // k-th miss replaces a uniformly random slot with probability
         // size / (size + k).
+        ++missesSinceRef_;
         const double p = static_cast<double>(params_.samplerSize) /
             static_cast<double>(
                 static_cast<std::uint64_t>(params_.samplerSize) +
@@ -80,6 +92,9 @@ TrrSampler::onActivate(int flat_bank, int row, dram::Cycle now,
         break;
       }
     }
+    // A Frequency or Random miss changes the table, so it consumes one
+    // activation; the caller hands back the rest of the run.
+    return 1;
 }
 
 void

@@ -81,6 +81,19 @@ class TrrSampler : public Mitigation
                     std::vector<VictimRef> &out) override;
 
     /**
+     * onActivate is a run of one. A run is consumed whole when its
+     * first activation hits the sampler or takes a free slot (the row
+     * then hits for the rest of the run), or misses under InOrder (the
+     * full table is unchanged, so every later activation misses too).
+     * A Frequency or Random miss changes the table and consumes one
+     * activation: a Misra-Gries eviction can free a slot mid-run, and
+     * reservoir sampling draws once per miss.
+     */
+    std::int64_t onActivateRun(int flat_bank, int row, std::int64_t count,
+                               dram::Cycle first,
+                               std::vector<VictimRef> &out) override;
+
+    /**
      * Service the sampler: refresh the neighbors of up to
      * refreshSlotsPerRef sampled rows (highest activation count first
      * under the Frequency policy, slot order otherwise), then clear the

@@ -11,8 +11,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <memory>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "attack/builder.hh"
@@ -27,7 +30,9 @@
 #include "ecc/ondie.hh"
 #include "fault/chip_model.hh"
 #include "fault/chipspec.hh"
+#include "mitigation/factory.hh"
 #include "mitigation/mitigation.hh"
+#include "mitigation/trr.hh"
 #include "softmc/chip_tester.hh"
 #include "util/logging.hh"
 #include "util/rng.hh"
@@ -100,7 +105,8 @@ TEST(PatternBuilder, FrequenciesSumToActivationBudget)
     for (const AccessPattern &p : allTestPatterns(builder, 0, 500)) {
         // The IR identity: the expanded schedule is exactly the
         // per-period frequency * amplitude sum times the period count.
-        const std::vector<int> schedule = p.schedule();
+        std::vector<int> schedule;
+        p.expand(schedule);
         EXPECT_EQ(static_cast<std::int64_t>(schedule.size()),
                   p.activationBudget())
             << p.label;
@@ -148,7 +154,8 @@ TEST(PatternBuilder, ManySidedDecoysFireBeforeTruePair)
     // the true pair.
     EXPECT_EQ(p.slots[10].row, 599);
     EXPECT_EQ(p.slots[11].row, 601);
-    const std::vector<int> schedule = p.schedule();
+    std::vector<int> schedule;
+    p.expand(schedule);
     for (int i = 0; i < 10; ++i)
         EXPECT_NE(schedule[static_cast<std::size_t>(i)], 599);
 }
@@ -531,6 +538,272 @@ TEST(Session, PeriodLongerThanRefWindowIsWellDefined)
               wide.activationBudget() / session.actsPerRefInterval);
 }
 
+// ------------------------------- burst replay vs. per-ACT oracle
+
+/**
+ * Reference lowering: the pattern's activation stream built tick by
+ * tick, independently of AccessPattern::bursts().
+ */
+std::vector<int>
+tickByTickSchedule(const AccessPattern &pattern)
+{
+    std::vector<int> out;
+    for (int period = 0; period < pattern.periods; ++period) {
+        for (int tick = 0; tick < pattern.basePeriod; ++tick) {
+            for (const AggressorSlot &slot : pattern.slots) {
+                const int interval = pattern.basePeriod / slot.frequency;
+                if (tick < slot.phase ||
+                    (tick - slot.phase) % interval != 0) {
+                    continue;
+                }
+                for (int a = 0; a < slot.amplitude; ++a)
+                    out.push_back(slot.row);
+            }
+        }
+    }
+    return out;
+}
+
+/**
+ * Reference session: runPattern's ACT-by-ACT replay, one onActivate
+ * and one ChipModel::addActivations per activation. runPattern must
+ * match it exactly.
+ */
+SessionResult
+perActSession(fault::ChipModel &chip, const AccessPattern &pattern,
+              mitigation::Mitigation *mechanism,
+              const SessionConfig &config, Rng &rng)
+{
+    const int bank = pattern.bank;
+    const int rows = chip.geometry().rows;
+
+    chip.writePattern(chip.spec().worstPattern, pattern.victimRow & 1);
+    chip.refreshRow(bank, pattern.victimRow);
+
+    SessionResult result;
+    std::vector<mitigation::VictimRef> scratch;
+    const auto latch_and_refresh = [&](int row) {
+        chip.readRowInto(bank, row, rng, result.flips);
+        chip.refreshRow(bank, row);
+    };
+    const auto apply_victims = [&] {
+        for (const mitigation::VictimRef &ref : scratch) {
+            if (ref.flatBank != bank || ref.row < 0 || ref.row >= rows)
+                continue; // Neighbor of an edge row, or another bank.
+            latch_and_refresh(ref.row);
+            ++result.mitigationRefreshes;
+        }
+        scratch.clear();
+    };
+
+    const std::vector<int> schedule = tickByTickSchedule(pattern);
+    std::uint64_t ref_index = 0;
+
+    for (std::size_t i = 0; i < schedule.size(); ++i) {
+        const int row = schedule[i];
+        chip.addActivations(bank, row, 1);
+        ++result.activations;
+        if (mechanism) {
+            scratch.clear();
+            mechanism->onActivate(bank, row,
+                                  static_cast<dram::Cycle>(i), scratch);
+            apply_victims();
+        }
+
+        if ((static_cast<std::int64_t>(i) + 1) %
+                config.actsPerRefInterval !=
+            0) {
+            continue;
+        }
+        ++result.refIntervals;
+        if (mechanism) {
+            scratch.clear();
+            mechanism->onRefresh(ref_index, 0, scratch);
+            apply_victims();
+        }
+        ++ref_index;
+    }
+
+    int span_lo = pattern.victimRow;
+    int span_hi = pattern.victimRow;
+    for (const AggressorSlot &slot : pattern.slots) {
+        span_lo = std::min(span_lo, slot.row);
+        span_hi = std::max(span_hi, slot.row);
+    }
+    const auto [lo, hi] = chip.blastReadRange(span_lo, span_hi);
+    for (int row = lo; row <= hi; ++row)
+        chip.readRowInto(bank, row, rng, result.flips);
+
+    std::sort(result.flips.begin(), result.flips.end());
+    result.flips.erase(
+        std::unique(result.flips.begin(), result.flips.end()),
+        result.flips.end());
+    return result;
+}
+
+/** A named way to build a fresh mechanism (null = unprotected). */
+struct MechanismCase
+{
+    std::string label;
+    std::function<std::unique_ptr<mitigation::Mitigation>()> make;
+};
+
+std::vector<MechanismCase>
+oracleMechanisms(int rows)
+{
+    using mitigation::Kind;
+    std::vector<MechanismCase> out;
+    out.push_back({"unprotected", [] { return nullptr; }});
+    std::vector<Kind> kinds = mitigation::allKinds();
+    kinds.insert(kinds.begin(), Kind::None);
+    const dram::TimingSpec timing = dram::ddr4_2400();
+    for (const Kind kind : kinds) {
+        // The lowest HCfirst >= 2000 the mechanism is evaluated at.
+        double hc = 0.0;
+        for (const double candidate : {2000.0, 40000.0, 128000.0}) {
+            if (mitigation::evaluatedAt(kind, candidate, timing)) {
+                hc = candidate;
+                break;
+            }
+        }
+        EXPECT_GT(hc, 0.0) << mitigation::toString(kind);
+        out.push_back({mitigation::toString(kind), [=] {
+                           return mitigation::makeMitigation(
+                               kind, hc, timing, rows, 23);
+                       }});
+    }
+    using Policy = mitigation::TrrSampler::Policy;
+    for (const auto &[name, policy] :
+         {std::pair{"InOrder", Policy::InOrder},
+          std::pair{"Frequency", Policy::Frequency},
+          std::pair{"Random", Policy::Random}}) {
+        const mitigation::TrrSampler::Params params{
+            .samplerSize = 3, .policy = policy, .refreshSlotsPerRef = 2};
+        out.push_back({std::string("TRR-3-") + name, [=] {
+                           return std::make_unique<mitigation::TrrSampler>(
+                               31, params);
+                       }});
+    }
+    return out;
+}
+
+std::vector<AccessPattern>
+oraclePatterns(int bank, int victim)
+{
+    PatternBuilder builder(
+        BuilderConfig{.rows = 1024, .step = 1, .activationBudget = 6000},
+        17);
+    std::vector<AccessPattern> out = allTestPatterns(builder, bank, victim);
+
+    FuzzerConfig fc;
+    fc.geometry = smallGeometry();
+    const FuzzingParameterSet params(fc, 1, 6000);
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+        out.push_back(params.sample(bank, victim, seed));
+        out.push_back(params.mutate(out.back(), seed + 100));
+    }
+
+    // One burst spans several REF windows.
+    AccessPattern wide;
+    wide.label = "wide";
+    wide.bank = bank;
+    wide.victimRow = victim;
+    wide.blastRadius = 1;
+    wide.periods = 5;
+    wide.slots.push_back({victim - 1, 1, 0, 600});
+    wide.slots.push_back({victim + 1, 1, 0, 240});
+    out.push_back(wide);
+
+    // 13 ACTs per period: REF boundaries drift through the period.
+    AccessPattern odd;
+    odd.label = "odd";
+    odd.bank = bank;
+    odd.victimRow = victim;
+    odd.blastRadius = 3;
+    odd.basePeriod = 4;
+    odd.periods = 400;
+    odd.slots.push_back({victim - 3, 2, 1, 2});
+    odd.slots.push_back({victim - 1, 1, 0, 5});
+    odd.slots.push_back({victim + 1, 4, 0, 1});
+    out.push_back(odd);
+    return out;
+}
+
+TEST(Session, BurstReplayMatchesPerActOracle)
+{
+    // The chip (HCfirst 500) is weaker than any mechanism here is
+    // provisioned for, so rows sit near their thresholds and when a
+    // victim refresh lands within a burst shows in the flips.
+    const fault::ChipSpec spec = denseSpec();
+    const fault::ChipModel probe(spec, 500, 9, smallGeometry());
+    const int bank = probe.weakestBank();
+    const int victim = std::clamp(probe.weakestRow(), 8, 1024 - 9);
+    const std::vector<AccessPattern> patterns = oraclePatterns(bank, victim);
+    ASSERT_NE(patterns.back().activationsPerPeriod() % 240, 0);
+
+    std::int64_t flips = 0;
+    std::int64_t refreshes = 0;
+    for (const MechanismCase &mech : oracleMechanisms(1024)) {
+        for (const AccessPattern &pattern : patterns) {
+            ASSERT_TRUE(pattern.wellFormed()) << pattern.label;
+            for (const std::int64_t interval : {240, 97}) {
+                SessionConfig config;
+                config.actsPerRefInterval = interval;
+                const auto run = [&](bool oracle, Rng &rng) {
+                    fault::ChipModel chip(spec, 500, 9, smallGeometry());
+                    const auto mechanism = mech.make();
+                    return oracle ? perActSession(chip, pattern,
+                                                  mechanism.get(), config,
+                                                  rng)
+                                  : runPattern(chip, pattern,
+                                               mechanism.get(), config,
+                                               rng);
+                };
+                Rng want_rng(77);
+                Rng got_rng(77);
+                const SessionResult want = run(true, want_rng);
+                const SessionResult got = run(false, got_rng);
+                const std::string where = mech.label + " / " +
+                    pattern.label + " / interval " +
+                    std::to_string(interval);
+                EXPECT_EQ(got.flips, want.flips) << where;
+                EXPECT_EQ(got.activations, want.activations) << where;
+                EXPECT_EQ(got.refIntervals, want.refIntervals) << where;
+                EXPECT_EQ(got.mitigationRefreshes, want.mitigationRefreshes)
+                    << where;
+                EXPECT_EQ(got_rng(), want_rng()) << where;
+                flips += static_cast<std::int64_t>(want.flips.size());
+                refreshes += want.mitigationRefreshes;
+            }
+        }
+    }
+    // Without flips and victim refreshes the grid compares nothing.
+    EXPECT_GT(flips, 0);
+    EXPECT_GT(refreshes, 0);
+}
+
+TEST(Session, BurstsAgreeWithTickByTickLowering)
+{
+    const std::vector<AccessPattern> patterns = oraclePatterns(0, 500);
+    for (const AccessPattern &pattern : patterns) {
+        std::vector<int> expanded;
+        pattern.expand(expanded);
+        EXPECT_EQ(expanded, tickByTickSchedule(pattern)) << pattern.label;
+
+        const std::vector<fault::AggressorDose> bursts = pattern.bursts();
+        std::int64_t total = 0;
+        for (std::size_t i = 0; i < bursts.size(); ++i) {
+            EXPECT_GT(bursts[i].count, 0) << pattern.label;
+            if (i > 0) {
+                EXPECT_NE(bursts[i].row, bursts[i - 1].row)
+                    << pattern.label;
+            }
+            total += bursts[i].count;
+        }
+        EXPECT_EQ(total, pattern.activationsPerPeriod()) << pattern.label;
+    }
+}
+
 TEST(TraceAdapter, FollowsScheduleAndRotatesColumns)
 {
     dram::Organization org;
@@ -548,7 +821,8 @@ TEST(TraceAdapter, FollowsScheduleAndRotatesColumns)
     const AccessPattern p = builder.nSided(1, 500, 4);
     TraceAdapter adapter(p, sim::AddressMapper(org));
 
-    const std::vector<int> schedule = p.schedule();
+    std::vector<int> schedule;
+    p.expand(schedule);
     sim::AddressMapper mapper(org);
     std::set<int> columns_seen;
     for (int i = 0; i < 256; ++i) {
@@ -583,7 +857,8 @@ TEST(TraceAdapter, ResyncRestartsSchedule)
     TraceAdapter adapter(p, sim::AddressMapper(org));
     sim::AddressMapper mapper(org);
 
-    const std::vector<int> schedule = p.schedule();
+    std::vector<int> schedule;
+    p.expand(schedule);
     for (int i = 0; i < 3; ++i)
         adapter.next();
     adapter.resync();
@@ -932,7 +1207,8 @@ TEST(TraceAdapter, InvertsXorMappingToLandAggressorsInOneBank)
     const AccessPattern p = builder.nSided(6, 500, 8);
     TraceAdapter adapter(p, mapper);
 
-    const std::vector<int> schedule = p.schedule();
+    std::vector<int> schedule;
+    p.expand(schedule);
     for (int i = 0; i < 512; ++i) {
         const cpu::TraceEntry entry = adapter.next();
         const dram::Address addr = mapper.decode(entry.addr);

@@ -132,6 +132,48 @@ TEST(AttackSweep, ThreadCountInvariant)
 
     EXPECT_EQ(attack::renderSweepCells(serial),
               attack::renderSweepCells(parallel));
+    // The grid the ACT-by-ACT session replay produced, byte for byte.
+    EXPECT_EQ(attack::renderSweepCells(serial),
+              "single-sided None 32000 3 0\n"
+              "single-sided TRR-2 32000 0 266\n"
+              "single-sided TRR-4 32000 0 266\n"
+              "single-sided PARA 32000 0 6633\n"
+              "single-sided ProHIT 32000 0 133\n"
+              "single-sided MRLoc 32000 0 3011\n"
+              "single-sided TWiCe-ideal 32000 0 512\n"
+              "single-sided Ideal 32000 0 128\n"
+              "double-sided None 32000 3 0\n"
+              "double-sided TRR-2 32000 0 532\n"
+              "double-sided TRR-4 32000 0 532\n"
+              "double-sided PARA 32000 0 6583\n"
+              "double-sided ProHIT 32000 0 133\n"
+              "double-sided MRLoc 32000 0 2972\n"
+              "double-sided TWiCe-ideal 32000 0 512\n"
+              "double-sided Ideal 32000 0 128\n"
+              "4-sided None 32000 3 0\n"
+              "4-sided TRR-2 32000 3 532\n"
+              "4-sided TRR-4 32000 0 1064\n"
+              "4-sided PARA 32000 0 6460\n"
+              "4-sided ProHIT 32000 0 133\n"
+              "4-sided MRLoc 32000 0 2923\n"
+              "4-sided TWiCe-ideal 32000 0 512\n"
+              "4-sided Ideal 32000 0 128\n"
+              "8-sided None 32000 3 0\n"
+              "8-sided TRR-2 32000 3 532\n"
+              "8-sided TRR-4 32000 3 1064\n"
+              "8-sided PARA 32000 0 6394\n"
+              "8-sided ProHIT 32000 0 133\n"
+              "8-sided MRLoc 32000 0 2689\n"
+              "8-sided TWiCe-ideal 32000 0 512\n"
+              "8-sided Ideal 32000 0 128\n"
+              "fuzz#0 None 31976 3 0\n"
+              "fuzz#0 TRR-2 31976 0 532\n"
+              "fuzz#0 TRR-4 31976 0 1064\n"
+              "fuzz#0 PARA 31976 0 6286\n"
+              "fuzz#0 ProHIT 31976 1 133\n"
+              "fuzz#0 MRLoc 31976 0 2664\n"
+              "fuzz#0 TWiCe-ideal 31976 0 509\n"
+              "fuzz#0 Ideal 31976 0 124\n");
 
     // The grid must exhibit the headline ordering, not just agree.
     const auto flips_of = [&](const std::string &pattern,

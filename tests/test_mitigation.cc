@@ -352,6 +352,104 @@ TEST(TrrSampler, RandomPolicyDeterministicPerSeed)
     }
 }
 
+// --------------------------- onActivateRun: a run equals its ACTs
+
+TEST(TrrSampler, ActivateRunMatchesSingleActivations)
+{
+    // Seeded random bursts over more distinct rows than sampler slots,
+    // across several REF intervals: the burst-fed sampler must hold
+    // the same rows and service the same victims as one fed ACT by
+    // ACT.
+    for (const TrrSampler::Policy policy :
+         {TrrSampler::Policy::InOrder, TrrSampler::Policy::Frequency,
+          TrrSampler::Policy::Random}) {
+        const TrrSampler::Params params{
+            .samplerSize = 4, .policy = policy, .refreshSlotsPerRef = 3};
+        TrrSampler runs(19, params);
+        TrrSampler single(19, params);
+        rowhammer::util::Rng rng(5 + static_cast<std::uint64_t>(policy));
+        std::vector<VictimRef> run_out;
+        std::vector<VictimRef> single_out;
+        dram::Cycle now = 0;
+        std::size_t serviced = 0;
+        for (std::uint64_t ref = 0; ref < 12; ++ref) {
+            for (int burst = 0; burst < 24; ++burst) {
+                const int row =
+                    100 + 2 * static_cast<int>(rng.uniformInt(0, 7));
+                const auto count =
+                    static_cast<std::int64_t>(rng.uniformInt(1, 30));
+                for (std::int64_t done = 0; done < count;) {
+                    const std::int64_t n = runs.onActivateRun(
+                        0, row, count - done, now + done, run_out);
+                    ASSERT_GE(n, 1);
+                    ASSERT_LE(n, count - done);
+                    done += n;
+                }
+                for (std::int64_t i = 0; i < count; ++i)
+                    single.onActivate(0, row, now + i, single_out);
+                now += count;
+                // TRR refreshes only under cover of REF.
+                EXPECT_TRUE(run_out.empty());
+                EXPECT_EQ(runs.sampledRows(), single.sampledRows());
+            }
+            runs.onRefresh(ref, 0, run_out);
+            single.onRefresh(ref, 0, single_out);
+            ASSERT_EQ(run_out.size(), single_out.size());
+            serviced += run_out.size();
+            for (std::size_t i = 0; i < run_out.size(); ++i) {
+                EXPECT_EQ(run_out[i].flatBank, single_out[i].flatBank);
+                EXPECT_EQ(run_out[i].row, single_out[i].row);
+            }
+            run_out.clear();
+            single_out.clear();
+        }
+        EXPECT_GT(serviced, 0u);
+    }
+}
+
+/** Test double: appends one victim on its k-th activation. */
+class VictimOnKth : public Mitigation
+{
+  public:
+    explicit VictimOnKth(std::size_t k) : k_(k) {}
+
+    std::string name() const override { return "VictimOnKth"; }
+
+    void
+    onActivate(int flat_bank, int row, dram::Cycle now,
+               std::vector<VictimRef> &out) override
+    {
+        cycles.push_back(now);
+        if (cycles.size() == k_)
+            out.push_back(VictimRef{flat_bank, row + 1});
+    }
+
+    /** Cycle of every activation observed, in order. */
+    std::vector<dram::Cycle> cycles;
+
+  private:
+    std::size_t k_;
+};
+
+TEST(Mitigation, DefaultActivateRunStopsAfterTheFirstVictim)
+{
+    VictimOnKth mech(5);
+    std::vector<VictimRef> out;
+    EXPECT_EQ(mech.onActivateRun(2, 40, 12, 100, out), 5);
+    ASSERT_EQ(out.size(), 1u);
+    EXPECT_EQ(out[0].flatBank, 2);
+    EXPECT_EQ(out[0].row, 41);
+
+    // The caller applies the victims and hands back the rest.
+    out.clear();
+    EXPECT_EQ(mech.onActivateRun(2, 40, 7, 105, out), 7);
+    EXPECT_TRUE(out.empty());
+    const std::vector<dram::Cycle> expected{100, 101, 102, 103,
+                                            104, 105, 106, 107,
+                                            108, 109, 110, 111};
+    EXPECT_EQ(mech.cycles, expected);
+}
+
 /**
  * End-to-end sampler saturation against the fault model: an N-sided
  * pattern leaks flips iff its aggressor count exceeds the sampler
