@@ -58,9 +58,7 @@ run()
     config.activationBudget = bench::envLong("RH_AS_BUDGET", 0);
     config.seed =
         static_cast<std::uint64_t>(bench::envLong("RH_AS_SEED", 2020));
-    config.threads = static_cast<int>(bench::envLong("RH_THREADS", 0));
-    config.checkpointPath = bench::envString("RH_CHECKPOINT", "");
-    config.batchDeadlineMs = bench::envLong("RH_DEADLINE_MS", 0);
+    bench::applyExecutionEnv(config);
     config.geometry.banks =
         static_cast<int>(bench::envLong("RH_AS_BANKS", 1));
     config.mapping = bench::envString("RH_AS_MAPPING", "linear");

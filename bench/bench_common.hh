@@ -15,6 +15,7 @@
 
 #include "fault/population.hh"
 #include "util/env.hh"
+#include "util/execution.hh"
 #include "util/logging.hh"
 #include "util/table.hh"
 
@@ -37,6 +38,19 @@ inline std::string
 envString(const char *name, const std::string &fallback)
 {
     return util::envString(name, fallback);
+}
+
+/**
+ * The execution-only knobs of a checkpointed bench: RH_THREADS (pool
+ * width), RH_CHECKPOINT (resume directory) and RH_DEADLINE_MS (batch
+ * watchdog). None of them changes what the bench prints.
+ */
+inline void
+applyExecutionEnv(util::Execution &exec)
+{
+    exec.threads = static_cast<int>(envLong("RH_THREADS", 0));
+    exec.checkpointPath = envString("RH_CHECKPOINT", "");
+    exec.batchDeadlineMs = envLong("RH_DEADLINE_MS", 0);
 }
 
 /**

@@ -34,9 +34,7 @@ fig10ConfigFromEnv()
     config.instructionsPerCore = envLong("RH_F10_INSTR", 100000);
     config.warmupInstructions = config.instructionsPerCore / 8;
     config.mixCount = static_cast<int>(envLong("RH_F10_MIXES", 2));
-    config.threads = static_cast<int>(envLong("RH_THREADS", 0));
-    config.checkpointPath = envString("RH_CHECKPOINT", "");
-    config.batchDeadlineMs = envLong("RH_DEADLINE_MS", 0);
+    applyExecutionEnv(config);
 
     // Scaled model (see EXPERIMENTS.md): the paper simulates 200M
     // instructions per core against a 2 GB channel, so hot rows

@@ -39,11 +39,8 @@ run()
     // One pool reused across configurations; RH_THREADS=1 reproduces
     // the serial run bit-for-bit (runner determinism contract).
     charlib::RunnerOptions runner_options;
-    runner_options.threads =
-        static_cast<int>(bench::envLong("RH_THREADS", 0));
+    bench::applyExecutionEnv(runner_options);
     runner_options.seed = 31;
-    runner_options.checkpointPath = bench::envString("RH_CHECKPOINT", "");
-    runner_options.batchDeadlineMs = bench::envLong("RH_DEADLINE_MS", 0);
     charlib::PopulationRunner runner(runner_options);
 
     util::TextTable table;

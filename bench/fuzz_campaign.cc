@@ -65,9 +65,7 @@ run()
         static_cast<std::uint64_t>(bench::envLong("RH_FZ_SEED", 2024));
     config.mapping = bench::envString("RH_FZ_MAPPING", "linear");
     config.attackerMapping = bench::envString("RH_FZ_ATTACKER", "");
-    config.threads = static_cast<int>(bench::envLong("RH_THREADS", 0));
-    config.checkpointPath = bench::envString("RH_CHECKPOINT", "");
-    config.batchDeadlineMs = bench::envLong("RH_DEADLINE_MS", 0);
+    bench::applyExecutionEnv(config);
 
     const std::int64_t budget = config.activationBudget > 0
         ? config.activationBudget

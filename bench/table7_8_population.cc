@@ -80,11 +80,8 @@ run()
     const int chips_per_group =
         static_cast<int>(bench::envLong("RH_T78_CHIPS", 2));
     charlib::RunnerOptions runner_options;
-    runner_options.threads =
-        static_cast<int>(bench::envLong("RH_THREADS", 0));
+    bench::applyExecutionEnv(runner_options);
     runner_options.seed = 2020;
-    runner_options.checkpointPath = bench::envString("RH_CHECKPOINT", "");
-    runner_options.batchDeadlineMs = bench::envLong("RH_DEADLINE_MS", 0);
     charlib::PopulationRunner runner(runner_options);
 
     renderPopulation(fault::table8Ddr3Modules(),

@@ -1,24 +1,18 @@
 #include "fuzzer.hh"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdlib>
 #include <memory>
 #include <numeric>
-#include <optional>
 #include <sstream>
 #include <utility>
 
 #include "attack/builder.hh"
 #include "attack/session.hh"
 #include "attack/trace_adapter.hh"
-#include "dram/address_functions.hh"
 #include "mitigation/trr.hh"
 #include "util/logging.hh"
 #include "util/rng.hh"
-#include "util/run_store.hh"
-#include "util/serialize.hh"
-#include "util/taskpool.hh"
 
 namespace rowhammer::attack
 {
@@ -42,26 +36,23 @@ constexpr std::uint64_t kMutateSalt = 0xA17E12ULL;
  *  (generation, slot, chip) key the campaign grid can produce. */
 constexpr std::uint64_t kBaselineKeyBase = 1ULL << 62;
 
-std::string
-encodeScore(const PatternScore &score)
+/** A session's checkpoint record (the label is not stored). */
+void
+encodeScore(util::ByteWriter &w, const PatternScore &score)
 {
-    util::ByteWriter w;
     w.u64(score.patternSeed);
     w.i64(score.activations);
     w.i64(score.flips);
     w.i64(score.refIntervals);
-    return w.bytes();
 }
 
-bool
-decodeScore(const std::string &bytes, PatternScore &score)
+void
+decodeScore(util::ByteReader &r, PatternScore &score)
 {
-    util::ByteReader r(bytes);
     score.patternSeed = r.u64();
     score.activations = r.i64();
     score.flips = r.i64();
     score.refIntervals = r.i64();
-    return r.done();
 }
 
 } // namespace
@@ -545,37 +536,10 @@ Fuzzer::run() const
     const int rows = config.geometry.rows;
 
     // Mapping context (see SweepConfig): patterns are built in the
-    // attacker's believed DRAM space; the linear/linear path skips
-    // translation entirely and stays byte-identical to the naive view.
-    const std::string attacker_mapping = config.attackerMapping.empty()
-        ? config.mapping
-        : config.attackerMapping;
-    const bool mapped =
-        config.mapping != "linear" || attacker_mapping != "linear";
-    std::optional<sim::AddressMapper> actual;
-    std::optional<sim::AddressMapper> assumed;
-    dram::Organization org;
-    if (mapped) {
-        if (config.mappingRanks < 1 || config.mappingChannels < 1 ||
-            config.geometry.banks %
-                    (config.mappingRanks * config.mappingChannels) !=
-                0) {
-            util::fatal("fuzzer: mappingChannels * mappingRanks must "
-                        "divide the geometry's bank count");
-        }
-        org.channels = config.mappingChannels;
-        org.ranks = config.mappingRanks;
-        const int per_rank = config.geometry.banks /
-            (config.mappingChannels * config.mappingRanks);
-        org.bankGroups = per_rank % 4 == 0 ? 4 : 1;
-        org.banksPerGroup = per_rank / org.bankGroups;
-        org.rows = rows;
-        actual.emplace(org,
-                       dram::AddressFunctions::resolve(config.mapping,
-                                                       org));
-        assumed.emplace(org, dram::AddressFunctions::resolve(
-                                 attacker_mapping, org));
-    }
+    // attacker's believed DRAM space.
+    const AttackMapping mapping(config.mapping, config.attackerMapping,
+                                config.mappingRanks,
+                                config.mappingChannels, config.geometry);
 
     // The chip population: chip 0 reuses the campaign seed directly
     // (the same identity an attack sweep at this seed profiles), the
@@ -598,17 +562,9 @@ Fuzzer::run() const
                                config.geometry);
         if (c == 0)
             step = probe.aggressorStep();
-        int believed_bank = probe.weakestBank();
-        int believed_victim = probe.weakestRow();
-        if (mapped) {
-            dram::Address victim_addr =
-                org.globalBankAddress(believed_bank);
-            victim_addr.row = believed_victim;
-            const dram::Address believed =
-                assumed->decode(actual->encode(victim_addr));
-            believed_bank = org.globalFlatBank(believed);
-            believed_victim = believed.row;
-        }
+        const auto [believed_bank, believed_victim] =
+            mapping.believedVictim(probe.weakestBank(),
+                                   probe.weakestRow());
         targets.push_back({chip_seed, believed_bank, believed_victim});
     }
 
@@ -620,33 +576,12 @@ Fuzzer::run() const
 
     const FuzzingParameterSet params(config, step, budget);
 
-    // Checkpoint store: the campaign grid is a pure function of the
-    // hashed config, so (generation, slot, chip) flattens to a stable
-    // shard key and resume replays the search with memoized sessions.
-    std::unique_ptr<util::RunStore> checkpoint;
-    if (!config.checkpointPath.empty()) {
-        checkpoint = std::make_unique<util::RunStore>(
-            util::RunStore::pathInDir(config.checkpointPath,
-                                      config.hash()),
-            config.hash(), config.io, /*exclusive=*/true);
-        const std::size_t loaded = checkpoint->load();
-        if (loaded > 0) {
-            util::inform("checkpoint: resuming from " +
-                         checkpoint->path() + " (" +
-                         std::to_string(loaded) +
-                         " sessions already done)");
-        }
-    }
-
+    // The campaign grid is a pure function of the hashed config, so
+    // (generation, slot, chip) flattens to a stable shard key and
+    // resume replays the search with memoized sessions.
+    const auto checkpoint = util::openCheckpoint(config, config.hash());
     std::unique_ptr<util::TaskPool> owned_pool;
-    if (!config.pool) {
-        owned_pool = std::make_unique<util::TaskPool>(config.threads);
-        if (config.batchDeadlineMs > 0) {
-            owned_pool->setBatchDeadline(
-                std::chrono::milliseconds(config.batchDeadlineMs));
-        }
-    }
-    util::TaskPool &pool = config.pool ? *config.pool : *owned_pool;
+    util::TaskPool &pool = util::poolFor(config, owned_pool);
 
     SessionConfig session;
     session.actsPerRefInterval = config.actsPerRefInterval;
@@ -658,24 +593,10 @@ Fuzzer::run() const
     // One (pattern, chip) session. Everything derives from (campaign
     // seed, pattern seed, chip index): a carried survivor re-scores
     // identically in any later generation, so elitism is exact.
-    const auto score_on_chip = [&](const AccessPattern &pattern,
-                                   std::size_t chip_idx,
-                                   std::uint64_t key) {
+    const auto run_session = [&](const AccessPattern &pattern,
+                                 std::size_t chip_idx) {
         PatternScore out;
-        out.label = pattern.label;
         out.patternSeed = pattern.seed;
-        if (checkpoint) {
-            if (const std::string *rec = checkpoint->get(key)) {
-                PatternScore loaded;
-                if (decodeScore(*rec, loaded) &&
-                    loaded.patternSeed == pattern.seed) {
-                    loaded.label = pattern.label;
-                    return loaded;
-                }
-                util::warn("checkpoint: stale or undecodable campaign "
-                           "session; recomputing it");
-            }
-        }
 
         // Re-aim the pattern at this chip's weakest row: shift every
         // slot by the victim delta, dropping slots pushed off the
@@ -698,11 +619,7 @@ Fuzzer::run() const
             placed.slots.push_back(slot);
         }
         placed.blastRadius = radius;
-        if (mapped) {
-            RemappedPattern landed =
-                remapPattern(placed, *assumed, *actual);
-            placed = std::move(landed.pattern);
-        }
+        placed = mapping.land(std::move(placed));
 
         if (!placed.slots.empty()) {
             fault::ChipModel chip(config.spec, config.hcFirst,
@@ -722,8 +639,6 @@ Fuzzer::run() const
             out.flips = static_cast<std::int64_t>(res.flips.size());
             out.refIntervals = res.refIntervals;
         }
-        if (checkpoint)
-            checkpoint->put(key, encodeScore(out));
         return out;
     };
 
@@ -737,9 +652,18 @@ Fuzzer::run() const
             std::uint64_t key_base) {
             const std::vector<PatternScore> per_chip = pool.map(
                 patterns.size() * chip_count, [&](std::size_t job) {
-                    return score_on_chip(patterns[job / chip_count],
-                                         job % chip_count,
-                                         key_base + job);
+                    const AccessPattern &pattern =
+                        patterns[job / chip_count];
+                    // A record for another pattern seed is stale.
+                    return util::memoized<PatternScore>(
+                        checkpoint.get(), key_base + job,
+                        [&] { return run_session(pattern,
+                                                 job % chip_count); },
+                        encodeScore,
+                        [&](util::ByteReader &r, PatternScore &score) {
+                            decodeScore(r, score);
+                            return score.patternSeed == pattern.seed;
+                        });
                 });
             std::vector<PatternScore> out(patterns.size());
             for (std::size_t i = 0; i < patterns.size(); ++i) {

@@ -37,20 +37,13 @@
 
 #include "attack/pattern.hh"
 #include "fault/chipspec.hh"
-
-namespace rowhammer::util
-{
-class ByteWriter;
-class ByteReader;
-class Io;
-class TaskPool;
-} // namespace rowhammer::util
+#include "util/execution.hh"
 
 namespace rowhammer::attack
 {
 
 /** Campaign configuration; defaults target a TRR-era DDR4 chip. */
-struct FuzzerConfig
+struct FuzzerConfig : util::Execution
 {
     fault::ChipSpec spec;
     fault::ChipGeometry geometry;
@@ -97,21 +90,6 @@ struct FuzzerConfig
     /** Ranks / channels the mapping splits geometry.banks across. */
     int mappingRanks = 1;
     int mappingChannels = 1;
-    /** Worker threads (0 = one per hardware thread); results do not
-     *  depend on this. Execution-only: excluded from hash(). */
-    int threads = 0;
-    /** Checkpoint directory (benches: RH_CHECKPOINT); empty disables.
-     *  Execution-only: excluded from hash(). */
-    std::string checkpointPath;
-    /** Filesystem seam for the checkpoint store (tests inject faults
-     *  here); null = the real filesystem. Excluded from hash(). */
-    util::Io *io = nullptr;
-    /** Borrowed task pool (the daemon owns ONE pool shared by every
-     *  request); null = run() creates its own. Excluded from hash(). */
-    util::TaskPool *pool = nullptr;
-    /** Watchdog deadline per scoring batch in milliseconds (benches:
-     *  RH_DEADLINE_MS); 0 disables. Excluded from hash(). */
-    std::int64_t batchDeadlineMs = 0;
 
     FuzzerConfig();
 
@@ -128,8 +106,8 @@ struct FuzzerConfig
 
     /**
      * Rebuild from serialize()'s bytes; check r.ok() afterwards. The
-     * execution-only knobs (threads, checkpointPath, io, pool, ...)
-     * are not on the wire and come back default-initialized.
+     * util::Execution knobs are not on the wire and come back
+     * default-initialized.
      */
     static FuzzerConfig deserialize(util::ByteReader &r);
 };

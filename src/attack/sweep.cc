@@ -1,16 +1,13 @@
 #include "sweep.hh"
 
 #include <algorithm>
-#include <chrono>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <sstream>
 #include <utility>
 
 #include "attack/builder.hh"
 #include "attack/trace_adapter.hh"
-#include "dram/address_functions.hh"
 #include "dram/timing.hh"
 #include "mitigation/ideal.hh"
 #include "mitigation/mrloc.hh"
@@ -20,39 +17,12 @@
 #include "mitigation/twice.hh"
 #include "util/logging.hh"
 #include "util/rng.hh"
-#include "util/run_store.hh"
-#include "util/serialize.hh"
-#include "util/taskpool.hh"
 
 namespace rowhammer::attack
 {
 
 namespace
 {
-
-std::string
-encodeCell(const SweepCell &cell)
-{
-    util::ByteWriter w;
-    w.str(cell.pattern);
-    w.str(cell.mechanism);
-    w.i64(cell.activations);
-    w.i64(cell.flips);
-    w.i64(cell.mitigationRefreshes);
-    return w.bytes();
-}
-
-bool
-decodeCell(const std::string &bytes, SweepCell &cell)
-{
-    util::ByteReader r(bytes);
-    cell.pattern = r.str();
-    cell.mechanism = r.str();
-    cell.activations = r.i64();
-    cell.flips = r.i64();
-    cell.mitigationRefreshes = r.i64();
-    return r.done();
-}
 
 using MechFactory =
     std::function<std::unique_ptr<mitigation::Mitigation>(std::uint64_t)>;
@@ -163,6 +133,28 @@ SweepConfig::deserialize(util::ByteReader &r)
     return c;
 }
 
+void
+SweepCell::serialize(util::ByteWriter &w) const
+{
+    w.str(pattern);
+    w.str(mechanism);
+    w.i64(activations);
+    w.i64(flips);
+    w.i64(mitigationRefreshes);
+}
+
+SweepCell
+SweepCell::deserialize(util::ByteReader &r)
+{
+    SweepCell c;
+    c.pattern = r.str();
+    c.mechanism = r.str();
+    c.activations = r.i64();
+    c.flips = r.i64();
+    c.mitigationRefreshes = r.i64();
+    return c;
+}
+
 std::vector<SweepCell>
 runSweep(const SweepConfig &config)
 {
@@ -184,49 +176,12 @@ runSweep(const SweepConfig &config)
 
     // With a non-linear mapping (or a mapping-naive attacker) the
     // patterns are built in the attacker's believed DRAM space and
-    // re-expressed in the controller's true space; the legacy linear
-    // path stays byte-identical by skipping translation entirely.
-    const std::string attacker_mapping = config.attackerMapping.empty()
-        ? config.mapping
-        : config.attackerMapping;
-    const bool mapped =
-        config.mapping != "linear" || attacker_mapping != "linear";
-
-    std::optional<sim::AddressMapper> actual;
-    std::optional<sim::AddressMapper> assumed;
-    int believed_bank = bank;
-    int believed_victim = victim;
-    if (mapped) {
-        if (config.mappingRanks < 1 || config.mappingChannels < 1 ||
-            config.geometry.banks %
-                    (config.mappingRanks * config.mappingChannels) !=
-                0) {
-            util::fatal("attack sweep: mappingChannels * mappingRanks "
-                        "must divide the geometry's bank count");
-        }
-        dram::Organization org;
-        org.channels = config.mappingChannels;
-        org.ranks = config.mappingRanks;
-        const int per_rank = config.geometry.banks /
-            (config.mappingChannels * config.mappingRanks);
-        org.bankGroups = per_rank % 4 == 0 ? 4 : 1;
-        org.banksPerGroup = per_rank / org.bankGroups;
-        org.rows = config.geometry.rows;
-        actual.emplace(org,
-                       dram::AddressFunctions::resolve(config.mapping,
-                                                       org));
-        assumed.emplace(org, dram::AddressFunctions::resolve(
-                                 attacker_mapping, org));
-        // The attacker knows the victim's physical address (it saw a
-        // flip there) and locates it in its believed DRAM space. The
-        // chip's flat banks map channel-major onto the organization.
-        dram::Address victim_addr = org.globalBankAddress(bank);
-        victim_addr.row = victim;
-        const dram::Address believed =
-            assumed->decode(actual->encode(victim_addr));
-        believed_bank = org.globalFlatBank(believed);
-        believed_victim = believed.row;
-    }
+    // re-expressed in the controller's true space.
+    const AttackMapping mapping(config.mapping, config.attackerMapping,
+                                config.mappingRanks,
+                                config.mappingChannels, config.geometry);
+    const auto [believed_bank, believed_victim] =
+        mapping.believedVictim(bank, victim);
 
     BuilderConfig builder_config;
     builder_config.rows = config.geometry.rows;
@@ -247,14 +202,11 @@ runSweep(const SweepConfig &config)
             static_cast<std::uint64_t>(f)));
     }
 
-    if (mapped) {
-        const bool naive = attacker_mapping != config.mapping;
+    if (mapping.mapped()) {
         for (AccessPattern &pattern : patterns) {
-            RemappedPattern landed =
-                remapPattern(pattern, *assumed, *actual);
-            landed.pattern.label +=
-                "@" + config.mapping + (naive ? "!naive" : "");
-            pattern = std::move(landed.pattern);
+            pattern = mapping.land(std::move(pattern));
+            pattern.label +=
+                "@" + config.mapping + (mapping.naive() ? "!naive" : "");
         }
     }
 
@@ -263,80 +215,45 @@ runSweep(const SweepConfig &config)
     SessionConfig session;
     session.actsPerRefInterval = config.actsPerRefInterval;
 
-    // Checkpoint store: the grid shape is a pure function of the
-    // hashed config, so the cell index is a stable shard key.
-    std::unique_ptr<util::RunStore> checkpoint;
-    if (!config.checkpointPath.empty()) {
-        checkpoint = std::make_unique<util::RunStore>(
-            util::RunStore::pathInDir(config.checkpointPath,
-                                      config.hash()),
-            config.hash(), config.io, /*exclusive=*/true);
-        const std::size_t loaded = checkpoint->load();
-        if (loaded > 0) {
-            util::inform("checkpoint: resuming from " +
-                         checkpoint->path() + " (" +
-                         std::to_string(loaded) +
-                         " cells already done)");
-        }
-    }
-
-    std::unique_ptr<util::TaskPool> owned_pool;
-    if (!config.pool) {
-        owned_pool = std::make_unique<util::TaskPool>(config.threads);
-        if (config.batchDeadlineMs > 0) {
-            owned_pool->setBatchDeadline(
-                std::chrono::milliseconds(config.batchDeadlineMs));
-        }
-    }
-    util::TaskPool &pool = config.pool ? *config.pool : *owned_pool;
-    return pool.map(
-        patterns.size() * mechs.size(), [&](std::size_t cell) {
-            const std::size_t pi = cell / mechs.size();
-            const std::size_t mi = cell % mechs.size();
-
-            if (checkpoint) {
-                if (const std::string *rec = checkpoint->get(cell)) {
-                    SweepCell out;
-                    if (decodeCell(*rec, out))
-                        return out;
-                    util::warn("checkpoint: undecodable sweep cell; "
-                               "recomputing it");
-                }
-            }
-
-            // A fully scattered pattern (every believed aggressor
-            // landed outside the victim's bank) hammers nothing.
-            if (patterns[pi].slots.empty()) {
-                SweepCell out;
-                out.pattern = patterns[pi].label;
-                out.mechanism = mechs[mi].label;
-                if (checkpoint)
-                    checkpoint->put(cell, encodeCell(out));
-                return out;
-            }
-
-            // Per-cell state derives only from (config seed, cell
-            // index): identical tables for any thread count.
-            fault::ChipModel chip(config.spec, config.hcFirst,
-                                  config.seed, config.geometry);
-            const auto mech = mechs[mi].make(
-                util::mix64(config.seed ^ (0xA11ACEULL + cell)));
-            util::Rng rng(
-                util::mix64(config.seed ^ 0x5EEDB0B0ULL ^ cell));
-
-            const SessionResult run = runPattern(
-                chip, patterns[pi], mech.get(), session, rng);
-
-            SweepCell out;
-            out.pattern = patterns[pi].label;
-            out.mechanism = mechs[mi].label;
-            out.activations = run.activations;
-            out.flips = static_cast<std::int64_t>(run.flips.size());
-            out.mitigationRefreshes = run.mitigationRefreshes;
-            if (checkpoint)
-                checkpoint->put(cell, encodeCell(out));
+    // Per-cell state derives only from (config seed, cell index):
+    // identical tables for any thread count.
+    const auto run_cell = [&](std::size_t cell) {
+        const AccessPattern &pattern = patterns[cell / mechs.size()];
+        const MechDesc &desc = mechs[cell % mechs.size()];
+        SweepCell out;
+        out.pattern = pattern.label;
+        out.mechanism = desc.label;
+        // A fully scattered pattern (every believed aggressor landed
+        // outside the victim's bank) hammers nothing.
+        if (pattern.slots.empty())
             return out;
-        });
+        fault::ChipModel chip(config.spec, config.hcFirst, config.seed,
+                              config.geometry);
+        const auto mech =
+            desc.make(util::mix64(config.seed ^ (0xA11ACEULL + cell)));
+        util::Rng rng(util::mix64(config.seed ^ 0x5EEDB0B0ULL ^ cell));
+        const SessionResult run =
+            runPattern(chip, pattern, mech.get(), session, rng);
+        out.activations = run.activations;
+        out.flips = static_cast<std::int64_t>(run.flips.size());
+        out.mitigationRefreshes = run.mitigationRefreshes;
+        return out;
+    };
+
+    // The grid shape is a pure function of the hashed config, so the
+    // cell index is a stable shard key.
+    const auto checkpoint = util::openCheckpoint(config, config.hash());
+    std::unique_ptr<util::TaskPool> owned_pool;
+    util::TaskPool &pool = util::poolFor(config, owned_pool);
+    return pool.map(patterns.size() * mechs.size(), [&](std::size_t cell) {
+        return util::memoized<SweepCell>(
+            checkpoint.get(), cell, [&] { return run_cell(cell); },
+            [](util::ByteWriter &w, const SweepCell &c) { c.serialize(w); },
+            [](util::ByteReader &r, SweepCell &c) {
+                c = SweepCell::deserialize(r);
+                return true;
+            });
+    });
 }
 
 std::string

@@ -26,20 +26,17 @@
 
 #include "attack/session.hh"
 #include "fault/chipspec.hh"
-
-namespace rowhammer::util
-{
-class ByteWriter;
-class ByteReader;
-class Io;
-class TaskPool;
-} // namespace rowhammer::util
+#include "util/execution.hh"
 
 namespace rowhammer::attack
 {
 
-/** Sweep configuration; defaults target a TRR-era DDR4 chip. */
-struct SweepConfig
+/**
+ * Sweep configuration; defaults target a TRR-era DDR4 chip. With
+ * checkpointPath set, runSweep() persists every completed cell (see
+ * util::Execution).
+ */
+struct SweepConfig : util::Execution
 {
     fault::ChipSpec spec;
     fault::ChipGeometry geometry;
@@ -79,28 +76,6 @@ struct SweepConfig
      *  aggressors scatter across controllers exactly as a bank-naive
      *  one's scatter across banks. */
     int mappingChannels = 1;
-    /** Worker threads (0 = one per hardware thread); results do not
-     *  depend on this. */
-    int threads = 0;
-    /**
-     * Checkpoint directory (benches: RH_CHECKPOINT); empty disables.
-     * When set, runSweep() persists every completed cell to a
-     * util::RunStore file keyed by hash(); a restarted run loads
-     * completed cells instead of recomputing them, and the resumed
-     * table is byte-identical to an uninterrupted run. Execution-only:
-     * excluded from hash(), like `threads`.
-     */
-    std::string checkpointPath;
-    /** Filesystem seam for the checkpoint store (tests inject faults
-     *  here); null = the real filesystem. Excluded from hash(). */
-    util::Io *io = nullptr;
-    /** Borrowed task pool to run on (the daemon owns ONE pool shared
-     *  by every request); null = runSweep() creates its own with
-     *  `threads` workers. Execution-only: excluded from hash(). */
-    util::TaskPool *pool = nullptr;
-    /** Watchdog deadline for the cell batch in milliseconds (benches:
-     *  RH_DEADLINE_MS); 0 disables. Excluded from hash(). */
-    std::int64_t batchDeadlineMs = 0;
 
     SweepConfig();
 
@@ -117,8 +92,8 @@ struct SweepConfig
 
     /**
      * Rebuild from serialize()'s bytes; check r.ok() afterwards. The
-     * execution-only knobs (threads, checkpointPath, io, pool, ...)
-     * are not on the wire and come back default-initialized.
+     * util::Execution knobs are not on the wire and come back
+     * default-initialized.
      */
     static SweepConfig deserialize(util::ByteReader &r);
 };
@@ -131,6 +106,13 @@ struct SweepCell
     std::int64_t activations = 0;
     std::int64_t flips = 0;
     std::int64_t mitigationRefreshes = 0;
+
+    /** The one bit-stable encoding of a cell, shared by the
+     *  checkpoint records and the daemon's replies. */
+    void serialize(util::ByteWriter &w) const;
+
+    /** Rebuild from serialize()'s bytes; check r.ok() afterwards. */
+    static SweepCell deserialize(util::ByteReader &r);
 };
 
 /** Run the grid; cells ordered pattern-major, mechanism-minor. */

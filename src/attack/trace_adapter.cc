@@ -58,6 +58,54 @@ remapPattern(const AccessPattern &believed,
     return out;
 }
 
+AttackMapping::AttackMapping(const std::string &mapping,
+                             const std::string &attacker_mapping,
+                             int ranks, int channels,
+                             const fault::ChipGeometry &geometry)
+{
+    const std::string &believed =
+        attacker_mapping.empty() ? mapping : attacker_mapping;
+    if (mapping == "linear" && believed == "linear")
+        return;
+    if (ranks < 1 || channels < 1 ||
+        geometry.banks % (ranks * channels) != 0) {
+        util::fatal("attack mapping: mappingChannels * mappingRanks must "
+                    "divide the geometry's bank count");
+    }
+    dram::Organization org;
+    org.channels = channels;
+    org.ranks = ranks;
+    const int per_rank = geometry.banks / (channels * ranks);
+    org.bankGroups = per_rank % 4 == 0 ? 4 : 1;
+    org.banksPerGroup = per_rank / org.bankGroups;
+    org.rows = geometry.rows;
+    actual_.emplace(org, dram::AddressFunctions::resolve(mapping, org));
+    assumed_.emplace(org, dram::AddressFunctions::resolve(believed, org));
+    naive_ = believed != mapping;
+}
+
+std::pair<int, int>
+AttackMapping::believedVictim(int bank, int row) const
+{
+    if (!mapped())
+        return {bank, row};
+    // The chip's flat banks map channel-major onto the organization.
+    const dram::Organization &org = actual_->organization();
+    dram::Address victim = org.globalBankAddress(bank);
+    victim.row = row;
+    const dram::Address believed =
+        assumed_->decode(actual_->encode(victim));
+    return {org.globalFlatBank(believed), believed.row};
+}
+
+AccessPattern
+AttackMapping::land(AccessPattern believed) const
+{
+    if (!mapped())
+        return believed;
+    return remapPattern(believed, *assumed_, *actual_).pattern;
+}
+
 TraceAdapter::TraceAdapter(AccessPattern pattern,
                            sim::AddressMapper mapper, int bubbles)
     : pattern_(std::move(pattern)), mapper_(std::move(mapper)),

@@ -17,6 +17,9 @@
 #define ROWHAMMER_ATTACK_TRACE_ADAPTER_HH
 
 #include <cstdint>
+#include <optional>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "attack/pattern.hh"
@@ -58,6 +61,54 @@ struct RemappedPattern
 RemappedPattern remapPattern(const AccessPattern &believed,
                              const sim::AddressMapper &assumed,
                              const sim::AddressMapper &actual);
+
+/**
+ * The address-mapping context of an attack driver (the mapping,
+ * attackerMapping, mappingRanks and mappingChannels fields that
+ * SweepConfig and FuzzerConfig share): the controller's true mapping
+ * and the one the attacker believes, over an organization that splits
+ * the chip's banks channel-major across channels x ranks. Patterns are
+ * built in the believed DRAM space and land() in the true one. When
+ * both mappings are "linear" the context is unmapped and every method
+ * is the identity, so the historical linear path stays byte-identical.
+ */
+class AttackMapping
+{
+  public:
+    /**
+     * @param mapping The controller's address functions (preset name or
+     *     mask-file path; see dram::AddressFunctions).
+     * @param attacker_mapping The attacker's belief; empty = `mapping`
+     *     (a zenhammer-style attacker that recovered the true masks).
+     * fatal() when mapped unless ranks and channels are >= 1 and
+     * channels * ranks divides geometry.banks.
+     */
+    AttackMapping(const std::string &mapping,
+                  const std::string &attacker_mapping, int ranks,
+                  int channels, const fault::ChipGeometry &geometry);
+
+    /** False when both mappings are "linear". */
+    bool mapped() const { return actual_.has_value(); }
+
+    /** True when the attacker believes a different mapping than the
+     *  controller uses. */
+    bool naive() const { return naive_; }
+
+    /**
+     * The (bank, row) where the attacker believes the victim at true
+     * (bank, row) sits: it knows the victim's physical address (it saw
+     * a flip there) and locates it in its believed DRAM space.
+     */
+    std::pair<int, int> believedVictim(int bank, int row) const;
+
+    /** Where a believed pattern lands (remapPattern's pattern). */
+    AccessPattern land(AccessPattern believed) const;
+
+  private:
+    std::optional<sim::AddressMapper> actual_;
+    std::optional<sim::AddressMapper> assumed_;
+    bool naive_ = false;
+};
 
 /** See the file comment. */
 class TraceAdapter : public cpu::TraceSource

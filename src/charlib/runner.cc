@@ -1,40 +1,11 @@
 #include "runner.hh"
 
-#include <chrono>
-#include <memory>
+#include <utility>
 
-#include "util/logging.hh"
 #include "util/serialize.hh"
 
 namespace rowhammer::charlib
 {
-
-namespace
-{
-
-std::string
-encodeHcFirst(const std::optional<std::int64_t> &hc)
-{
-    util::ByteWriter w;
-    w.u8(hc ? 1 : 0);
-    w.i64(hc.value_or(0));
-    return w.bytes();
-}
-
-bool
-decodeHcFirst(const std::string &bytes,
-              std::optional<std::int64_t> &hc)
-{
-    util::ByteReader r(bytes);
-    const bool present = r.u8() != 0;
-    const std::int64_t value = r.i64();
-    if (!r.done())
-        return false;
-    hc = present ? std::optional<std::int64_t>(value) : std::nullopt;
-    return true;
-}
-
-} // namespace
 
 std::uint64_t
 populationStreamSeed(std::uint64_t base, std::uint64_t salt)
@@ -43,18 +14,9 @@ populationStreamSeed(std::uint64_t base, std::uint64_t salt)
 }
 
 PopulationRunner::PopulationRunner(RunnerOptions options)
-    : options_(options)
+    : options_(std::move(options)),
+      pool_(&util::poolFor(options_, ownedPool_))
 {
-    if (options_.pool) {
-        pool_ = options_.pool;
-        return;
-    }
-    ownedPool_ = std::make_unique<util::TaskPool>(options_.threads);
-    pool_ = ownedPool_.get();
-    if (options_.batchDeadlineMs > 0) {
-        pool_->setBatchDeadline(
-            std::chrono::milliseconds(options_.batchDeadlineMs));
-    }
 }
 
 std::vector<std::optional<std::int64_t>>
@@ -72,66 +34,31 @@ PopulationRunner::measureHcFirst(
     // changed search invalidates it wholesale via the config hash.
     // Records are keyed by chip content hash, so they survive
     // population reordering and subsetting.
-    std::unique_ptr<util::RunStore> checkpoint;
-    if (!options_.checkpointPath.empty()) {
-        util::ByteWriter desc;
-        desc.str("hcfirst");
-        desc.u64(options_.seed);
-        options.serialize(desc);
-        geometry.serialize(desc);
-        const std::uint64_t config_hash = util::fnv1a64(desc.bytes());
-        checkpoint = std::make_unique<util::RunStore>(
-            util::RunStore::pathInDir(options_.checkpointPath,
-                                      config_hash),
-            config_hash, options_.io, /*exclusive=*/true);
-        const std::size_t loaded = checkpoint->load();
-        if (loaded > 0) {
-            util::inform("checkpoint: resuming from " +
-                         checkpoint->path() + " (" +
-                         std::to_string(loaded) +
-                         " chips already measured)");
-        }
-    }
+    util::ByteWriter desc;
+    desc.str("hcfirst");
+    desc.u64(options_.seed);
+    options.serialize(desc);
+    geometry.serialize(desc);
+    const auto checkpoint =
+        util::openCheckpoint(options_, util::fnv1a64(desc.bytes()));
 
     return map(
         chips.size(),
-        [&](std::size_t i, util::Rng &rng) -> std::optional<std::int64_t> {
-            const std::uint64_t key =
-                checkpoint ? chips[i].hash() : 0;
-            if (checkpoint) {
-                if (const std::string *rec = checkpoint->get(key)) {
-                    std::optional<std::int64_t> hc;
-                    if (decodeHcFirst(*rec, hc))
-                        return hc;
-                    util::warn("checkpoint: undecodable HCfirst "
-                               "record; re-measuring the chip");
-                }
-            }
-            fault::ChipModel model = chips[i].makeModel(geometry);
-            const auto hc = findHcFirst(model, options, rng);
-            if (checkpoint)
-                checkpoint->put(key, encodeHcFirst(hc));
-            return hc;
-        },
-        &salts);
-}
-
-std::vector<DataPatternStudy>
-PopulationRunner::runDataPatternStudies(
-    const std::vector<fault::ChipInstance> &chips, std::int64_t hc,
-    int iterations, int sample_rows, fault::ChipGeometry geometry)
-{
-    std::vector<std::uint64_t> salts;
-    salts.reserve(chips.size());
-    for (const auto &chip : chips)
-        salts.push_back(chip.seed);
-
-    return map(
-        chips.size(),
-        [&](std::size_t i, util::Rng &rng) -> DataPatternStudy {
-            fault::ChipModel model = chips[i].makeModel(geometry);
-            return runDataPatternStudy(model, hc, iterations, sample_rows,
-                                       rng);
+        [&](std::size_t i, util::Rng &rng) {
+            return util::memoized<std::optional<std::int64_t>>(
+                checkpoint.get(), chips[i].hash(),
+                [&] {
+                    fault::ChipModel model = chips[i].makeModel(geometry);
+                    return findHcFirst(model, options, rng);
+                },
+                [](util::ByteWriter &w,
+                   const std::optional<std::int64_t> &hc) {
+                    w.optI64(hc);
+                },
+                [](util::ByteReader &r, std::optional<std::int64_t> &hc) {
+                    hc = r.optI64();
+                    return true;
+                });
         },
         &salts);
 }

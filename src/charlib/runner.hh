@@ -25,14 +25,10 @@
 #include <optional>
 #include <vector>
 
-#include <string>
-
-#include "charlib/analyses.hh"
 #include "charlib/hcfirst.hh"
 #include "fault/population.hh"
+#include "util/execution.hh"
 #include "util/rng.hh"
-#include "util/run_store.hh"
-#include "util/taskpool.hh"
 
 namespace rowhammer::charlib
 {
@@ -44,33 +40,19 @@ namespace rowhammer::charlib
  */
 std::uint64_t populationStreamSeed(std::uint64_t base, std::uint64_t salt);
 
-/** Configuration of a PopulationRunner. */
-struct RunnerOptions
+/**
+ * Configuration of a PopulationRunner. With checkpointPath set (see
+ * util::Execution), measureHcFirst() persists each chip's finished
+ * search to a util::RunStore file keyed by (seed, search options,
+ * geometry), with per-chip records keyed by the chip's content hash —
+ * so a restarted population run recomputes only the chips it had not
+ * finished, and the result is identical to an uninterrupted run even
+ * if the population is reordered or subset.
+ */
+struct RunnerOptions : util::Execution
 {
-    /** Worker threads; 0 = one per hardware thread. */
-    int threads = 0;
     /** Base seed every per-chip stream derives from. */
     std::uint64_t seed = 2020;
-    /**
-     * Checkpoint directory (benches: RH_CHECKPOINT); empty disables.
-     * When set, measureHcFirst() persists each chip's finished search
-     * to a util::RunStore file keyed by (seed, search options,
-     * geometry), with per-chip records keyed by the chip's content
-     * hash — so a restarted population run recomputes only the chips
-     * it had not finished, and the result is identical to an
-     * uninterrupted run even if the population is reordered or subset.
-     */
-    std::string checkpointPath;
-    /** Filesystem seam for the checkpoint store (tests inject faults
-     *  here); null = the real filesystem. */
-    util::Io *io = nullptr;
-    /** Watchdog deadline per pool batch in milliseconds; 0 disables
-     *  (see util::TaskPool::setBatchDeadline). */
-    std::int64_t batchDeadlineMs = 0;
-    /** Borrowed task pool to run on (the daemon owns ONE pool shared
-     *  by every request); null = the runner creates its own with
-     *  `threads` workers. */
-    util::TaskPool *pool = nullptr;
 };
 
 /**
@@ -123,13 +105,6 @@ class PopulationRunner
     measureHcFirst(const std::vector<fault::ChipInstance> &chips,
                    const HcFirstOptions &options,
                    fault::ChipGeometry geometry = fault::ChipGeometry{});
-
-    /** Section 5.2 data-pattern study (Figure 4) across a population. */
-    std::vector<DataPatternStudy>
-    runDataPatternStudies(const std::vector<fault::ChipInstance> &chips,
-                          std::int64_t hc, int iterations, int sample_rows,
-                          fault::ChipGeometry geometry =
-                              fault::ChipGeometry{});
 
   private:
     RunnerOptions options_;

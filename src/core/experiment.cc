@@ -1,6 +1,6 @@
 #include "experiment.hh"
 
-#include <chrono>
+#include <string>
 #include <utility>
 
 #include "util/logging.hh"
@@ -39,10 +39,9 @@ sweepCellKey(mitigation::Kind kind, double hc, int mix)
     return util::fnv1a64(w.bytes());
 }
 
-std::string
-encodeOutcome(const std::optional<MixOutcome> &outcome)
+void
+encodeOutcome(util::ByteWriter &w, const std::optional<MixOutcome> &outcome)
 {
-    util::ByteWriter w;
     w.u8(outcome ? 1 : 0);
     if (outcome) {
         w.f64(outcome->weightedSpeedup);
@@ -51,17 +50,17 @@ encodeOutcome(const std::optional<MixOutcome> &outcome)
         w.f64(outcome->mpki);
         w.f64(outcome->droppedWritebacks);
     }
-    return w.bytes();
 }
 
+/** Pre-droppedWritebacks records are one f64 short and are rejected
+ *  by memoized()'s every-byte check, so stale shards recompute rather
+ *  than misread. */
 bool
-decodeOutcome(const std::string &bytes,
-              std::optional<MixOutcome> &outcome)
+decodeOutcome(util::ByteReader &r, std::optional<MixOutcome> &outcome)
 {
-    util::ByteReader r(bytes);
     if (r.u8() == 0) {
         outcome = std::nullopt;
-        return r.done();
+        return true;
     }
     MixOutcome out;
     out.weightedSpeedup = r.f64();
@@ -69,28 +68,8 @@ decodeOutcome(const std::string &bytes,
     out.bandwidthOverheadPercent = r.f64();
     out.mpki = r.f64();
     out.droppedWritebacks = r.f64();
-    // Pre-droppedWritebacks checkpoint records are one f64 short and
-    // fail here, so stale shards are recomputed rather than misread.
-    if (!r.done())
-        return false;
     outcome = out;
     return true;
-}
-
-std::string
-encodeIpcs(const std::vector<double> &ipcs)
-{
-    util::ByteWriter w;
-    w.f64Vec(ipcs);
-    return w.bytes();
-}
-
-bool
-decodeIpcs(const std::string &bytes, std::vector<double> &ipcs)
-{
-    util::ByteReader r(bytes);
-    ipcs = r.f64Vec();
-    return r.done();
 }
 
 /**
@@ -155,46 +134,30 @@ ExperimentRunner::ExperimentRunner(ExperimentConfig config)
                                     config.coldBytesPerApp,
                                     config.appRegionStride))
 {
-    if (config_.mixCount < 1 ||
-        config_.mixCount > static_cast<int>(mixes_.size())) {
+    const int catalogue = static_cast<int>(mixes_.size());
+    if (config_.mixCount < 1 || config_.mixCount > catalogue)
         util::fatal("ExperimentRunner: mixCount out of range");
+    for (int mix : config_.mixIndices) {
+        if (mix < 0 || mix >= catalogue) {
+            util::fatal("ExperimentRunner: mix index " +
+                        std::to_string(mix) + " outside the " +
+                        std::to_string(catalogue) + "-mix catalogue");
+        }
     }
 }
 
 util::TaskPool &
 ExperimentRunner::pool()
 {
-    if (config_.pool)
-        return *config_.pool;
-    if (!pool_) {
-        pool_ = std::make_unique<util::TaskPool>(config_.threads);
-        if (config_.batchDeadlineMs > 0) {
-            pool_->setBatchDeadline(
-                std::chrono::milliseconds(config_.batchDeadlineMs));
-        }
-    }
-    return *pool_;
+    return util::poolFor(config_, pool_);
 }
 
 util::RunStore *
 ExperimentRunner::store()
 {
-    if (config_.checkpointPath.empty())
-        return nullptr;
-    if (!store_) {
-        store_ = std::make_unique<util::RunStore>(
-            util::RunStore::pathInDir(config_.checkpointPath,
-                                      config_.hash()),
-            config_.hash(), config_.io, /*exclusive=*/true);
-    }
-    if (!storeLoaded_) {
-        storeLoaded_ = true;
-        const std::size_t loaded = store_->load();
-        if (loaded > 0) {
-            util::inform("checkpoint: resuming from " + store_->path() +
-                         " (" + std::to_string(loaded) +
-                         " shards already done)");
-        }
+    if (!storeOpened_) {
+        storeOpened_ = true;
+        store_ = util::openCheckpoint(config_, config_.hash());
     }
     return store_.get();
 }
@@ -304,25 +267,21 @@ ExperimentRunner::prepare(const std::vector<int> &mix_indices)
             const int mix = missing[i / per_mix];
             const std::size_t unit = i % per_mix;
             const std::size_t expected = unit < cores ? 1 : cores;
-            const std::uint64_t key = baselineShardKey(mix, unit);
-            if (checkpoint) {
-                if (const std::string *rec = checkpoint->get(key)) {
-                    std::vector<double> ipcs;
-                    if (decodeIpcs(*rec, ipcs) &&
-                        ipcs.size() == expected) {
-                        return ipcs;
-                    }
-                    util::warn("checkpoint: undecodable baseline "
-                               "record; recomputing the shard");
-                }
-            }
-            std::vector<double> ipcs = unit < cores
-                ? std::vector<double>{soloIpc(mix,
-                                              static_cast<int>(unit))}
-                : sharedBaselineIpcs(mix);
-            if (checkpoint)
-                checkpoint->put(key, encodeIpcs(ipcs));
-            return ipcs;
+            return util::memoized<std::vector<double>>(
+                checkpoint, baselineShardKey(mix, unit),
+                [&] {
+                    return unit < cores
+                        ? std::vector<double>{soloIpc(
+                              mix, static_cast<int>(unit))}
+                        : sharedBaselineIpcs(mix);
+                },
+                [](util::ByteWriter &w, const std::vector<double> &ipcs) {
+                    w.f64Vec(ipcs);
+                },
+                [&](util::ByteReader &r, std::vector<double> &ipcs) {
+                    ipcs = r.f64Vec();
+                    return ipcs.size() == expected;
+                });
         });
     for (std::size_t m = 0; m < missing.size(); ++m) {
         std::vector<double> alone;
@@ -423,21 +382,10 @@ ExperimentRunner::sweep(const std::vector<double> &hc_firsts)
     const auto outcomes = pool().map(
         cells.size(), [&](std::size_t i) {
             const Cell &cell = cells[i];
-            const std::uint64_t key =
-                sweepCellKey(cell.kind, cell.hc, cell.mix);
-            if (checkpoint) {
-                if (const std::string *rec = checkpoint->get(key)) {
-                    std::optional<MixOutcome> outcome;
-                    if (decodeOutcome(*rec, outcome))
-                        return outcome;
-                    util::warn("checkpoint: undecodable sweep-cell "
-                               "record; recomputing the shard");
-                }
-            }
-            auto outcome = runMix(cell.mix, cell.kind, cell.hc);
-            if (checkpoint)
-                checkpoint->put(key, encodeOutcome(outcome));
-            return outcome;
+            return util::memoized<std::optional<MixOutcome>>(
+                checkpoint, sweepCellKey(cell.kind, cell.hc, cell.mix),
+                [&] { return runMix(cell.mix, cell.kind, cell.hc); },
+                encodeOutcome, decodeOutcome);
         });
 
     for (std::size_t i = 0; i < cells.size(); ++i) {

@@ -21,15 +21,8 @@
 
 #include "core/system.hh"
 #include "mitigation/factory.hh"
-#include "util/run_store.hh"
+#include "util/execution.hh"
 #include "util/stats.hh"
-#include "util/taskpool.hh"
-
-namespace rowhammer::util
-{
-class ByteWriter;
-class Io;
-} // namespace rowhammer::util
 
 namespace rowhammer::core
 {
@@ -58,8 +51,11 @@ struct SweepPoint
     util::RunningStat droppedWritebacks;
 };
 
-/** Experiment configuration. */
-struct ExperimentConfig
+/**
+ * Experiment configuration. With checkpointPath set, prepare() and
+ * sweep() persist every completed shard (see util::Execution).
+ */
+struct ExperimentConfig : util::Execution
 {
     SystemConfig system;
     /** Instructions per core per run (the paper uses 200M; scaled-down
@@ -81,40 +77,11 @@ struct ExperimentConfig
      *  span every rank and channel. */
     std::int64_t appRegionStride = 0;
     std::uint64_t seed = 1;
-    /** Worker threads for sweep()/prepare(); 0 = one per hardware
-     *  thread. Results do not depend on this. */
-    int threads = 0;
-    /**
-     * Checkpoint directory (benches: RH_CHECKPOINT); empty disables.
-     * When set, prepare() and sweep() persist every completed shard to
-     * a util::RunStore file keyed by hash(), and a restarted run loads
-     * completed shards instead of recomputing them. Resumed output is
-     * byte-identical to an uninterrupted run (shard values are stored
-     * bit-exactly and aggregation order is fixed), so this knob — like
-     * `threads` — is excluded from hash().
-     */
-    std::string checkpointPath;
-    /** Filesystem seam for the checkpoint store (tests inject faults
-     *  here); null = the real filesystem. Excluded from hash(). */
-    util::Io *io = nullptr;
-    /** Borrowed task pool to run on (the daemon owns ONE pool shared
-     *  by every request); null = the runner creates its own with
-     *  `threads` workers. Execution-only: excluded from hash(). */
-    util::TaskPool *pool = nullptr;
-    /**
-     * Watchdog deadline per pool batch in milliseconds (benches:
-     * RH_DEADLINE_MS); 0 disables. A batch that outlives it dumps its
-     * in-flight shard indices to stderr and aborts (see
-     * util::TaskPool::setBatchDeadline). Execution-only: excluded from
-     * hash().
-     */
-    std::int64_t batchDeadlineMs = 0;
 
     /**
      * Append the bit-stable encoding of the run description (every
-     * field that affects results; execution-only knobs — threads,
-     * checkpointPath, io, batchDeadlineMs — are excluded). See
-     * util/serialize.hh for the stability contract.
+     * field that affects results; the util::Execution knobs are
+     * excluded). See util/serialize.hh for the stability contract.
      */
     void serialize(util::ByteWriter &w) const;
 
@@ -124,8 +91,8 @@ struct ExperimentConfig
 
     /**
      * Rebuild from serialize()'s bytes; check r.ok() afterwards. The
-     * execution-only knobs (threads, checkpointPath, io, pool, ...)
-     * are not on the wire and come back default-initialized.
+     * util::Execution knobs are not on the wire and come back
+     * default-initialized.
      */
     static ExperimentConfig deserialize(util::ByteReader &r);
 };
@@ -140,6 +107,8 @@ struct ExperimentConfig
 class ExperimentRunner
 {
   public:
+    /** fatal() unless mixCount and every mixIndices entry address the
+     *  mix catalogue. */
     explicit ExperimentRunner(ExperimentConfig config);
 
     /**
@@ -174,9 +143,8 @@ class ExperimentRunner
 
     /**
      * The checkpoint store backing prepare()/sweep(), or nullptr when
-     * config.checkpointPath is empty. Created (and its file loaded)
-     * on first use; the file lives at
-     * RunStore::pathInDir(checkpointPath, config.hash()).
+     * config.checkpointPath is empty. Opened on first use
+     * (util::openCheckpoint with config.hash()).
      */
     util::RunStore *store();
 
@@ -215,7 +183,7 @@ class ExperimentRunner
     std::map<int, MixBaseline> baselineCache_;
     std::unique_ptr<util::TaskPool> pool_;
     std::unique_ptr<util::RunStore> store_;
-    bool storeLoaded_ = false;
+    bool storeOpened_ = false;
 };
 
 } // namespace rowhammer::core

@@ -107,6 +107,14 @@ Engine::handle(MsgType type, const std::string &payload)
     return compute(type, deadline_ms, config_bytes);
 }
 
+void
+Engine::attach(util::Execution &exec)
+{
+    exec.pool = &pool_;
+    exec.io = config_.io;
+    exec.checkpointPath = config_.storeDir;
+}
+
 Reply
 Engine::compute(MsgType type, std::uint32_t deadline_ms,
                 const std::string &config_bytes)
@@ -139,9 +147,7 @@ Engine::compute(MsgType type, std::uint32_t deadline_ms,
                 reply.message = "undecodable Fig10 run description";
                 break;
             }
-            req.config.pool = &pool_;
-            req.config.io = config_.io;
-            req.config.checkpointPath = config_.storeDir;
+            attach(req.config);
             core::ExperimentRunner runner(req.config);
             reply.result = encodeFig10Points(runner.sweep(req.hcFirsts));
             reply.status = Status::Ok;
@@ -155,9 +161,7 @@ Engine::compute(MsgType type, std::uint32_t deadline_ms,
                                 "description";
                 break;
             }
-            req.config.pool = &pool_;
-            req.config.io = config_.io;
-            req.config.checkpointPath = config_.storeDir;
+            attach(req.config);
             reply.result = encodeSweepCells(attack::runSweep(req.config));
             reply.status = Status::Ok;
             break;
@@ -171,9 +175,7 @@ Engine::compute(MsgType type, std::uint32_t deadline_ms,
             }
             charlib::RunnerOptions options;
             options.seed = req.seed;
-            options.pool = &pool_;
-            options.io = config_.io;
-            options.checkpointPath = config_.storeDir;
+            attach(options);
             charlib::PopulationRunner runner(options);
             reply.result = encodeHcFirstResults(runner.measureHcFirst(
                 req.chips, req.options, req.geometry));

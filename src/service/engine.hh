@@ -32,13 +32,7 @@
 #include <string>
 
 #include "service/protocol.hh"
-#include "util/run_store.hh"
-#include "util/taskpool.hh"
-
-namespace rowhammer::util
-{
-class Io;
-} // namespace rowhammer::util
+#include "util/execution.hh"
 
 namespace rowhammer::service
 {
@@ -95,6 +89,10 @@ class Engine
     util::TaskPool &pool() { return pool_; }
 
   private:
+    /** Run a request's driver on the engine's pool and filesystem
+     *  seam, checkpointing its shards under storeDir. */
+    void attach(util::Execution &exec);
+
     /** Compute a memo miss; returns the result bytes via reply. */
     Reply compute(MsgType type, std::uint32_t deadline_ms,
                   const std::string &config_bytes);

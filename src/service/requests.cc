@@ -6,15 +6,6 @@
 namespace rowhammer::service
 {
 
-namespace
-{
-
-/** List sizes above this are rejected as garbage (a corrupt count
- *  field must not drive a multi-GB allocation). */
-constexpr std::uint32_t kMaxListEntries = 1u << 20;
-
-} // namespace
-
 std::string
 Fig10Request::encode() const
 {
@@ -57,9 +48,10 @@ HcFirstRequest::encode() const
     w.u64(seed);
     options.serialize(w);
     geometry.serialize(w);
-    w.u32(static_cast<std::uint32_t>(chips.size()));
-    for (const auto &chip : chips)
-        chip.serialize(w);
+    w.list(chips, [](util::ByteWriter &out,
+                     const fault::ChipInstance &chip) {
+        chip.serialize(out);
+    });
     return w.bytes();
 }
 
@@ -70,16 +62,7 @@ HcFirstRequest::decode(const std::string &bytes, HcFirstRequest &out)
     out.seed = r.u64();
     out.options = charlib::HcFirstOptions::deserialize(r);
     out.geometry = fault::ChipGeometry::deserialize(r);
-    const std::uint32_t n = r.u32();
-    if (!r.ok() || n > kMaxListEntries)
-        return false;
-    out.chips.clear();
-    out.chips.reserve(n);
-    for (std::uint32_t i = 0; i < n; ++i) {
-        out.chips.push_back(fault::ChipInstance::deserialize(r));
-        if (!r.ok())
-            return false;
-    }
+    out.chips = r.list(fault::ChipInstance::deserialize);
     return r.done();
 }
 
@@ -87,15 +70,14 @@ std::string
 encodeFig10Points(const std::vector<core::SweepPoint> &points)
 {
     util::ByteWriter w;
-    w.u32(static_cast<std::uint32_t>(points.size()));
-    for (const auto &p : points) {
-        w.i64(static_cast<int>(p.kind));
-        w.f64(p.hcFirst);
-        w.u8(p.evaluated ? 1 : 0);
-        p.normalizedPerformance.serialize(w);
-        p.bandwidthOverheadPercent.serialize(w);
-        p.droppedWritebacks.serialize(w);
-    }
+    w.list(points, [](util::ByteWriter &out, const core::SweepPoint &p) {
+        out.i64(static_cast<int>(p.kind));
+        out.f64(p.hcFirst);
+        out.u8(p.evaluated ? 1 : 0);
+        p.normalizedPerformance.serialize(out);
+        p.bandwidthOverheadPercent.serialize(out);
+        p.droppedWritebacks.serialize(out);
+    });
     return w.bytes();
 }
 
@@ -104,23 +86,16 @@ decodeFig10Points(const std::string &bytes,
                   std::vector<core::SweepPoint> &out)
 {
     util::ByteReader r(bytes);
-    const std::uint32_t n = r.u32();
-    if (!r.ok() || n > kMaxListEntries)
-        return false;
-    out.clear();
-    out.reserve(n);
-    for (std::uint32_t i = 0; i < n; ++i) {
+    out = r.list([](util::ByteReader &in) {
         core::SweepPoint p;
-        p.kind = static_cast<mitigation::Kind>(r.i64());
-        p.hcFirst = r.f64();
-        p.evaluated = r.u8() != 0;
-        p.normalizedPerformance = util::RunningStat::deserialize(r);
-        p.bandwidthOverheadPercent = util::RunningStat::deserialize(r);
-        p.droppedWritebacks = util::RunningStat::deserialize(r);
-        if (!r.ok())
-            return false;
-        out.push_back(p);
-    }
+        p.kind = static_cast<mitigation::Kind>(in.i64());
+        p.hcFirst = in.f64();
+        p.evaluated = in.u8() != 0;
+        p.normalizedPerformance = util::RunningStat::deserialize(in);
+        p.bandwidthOverheadPercent = util::RunningStat::deserialize(in);
+        p.droppedWritebacks = util::RunningStat::deserialize(in);
+        return p;
+    });
     return r.done();
 }
 
@@ -128,14 +103,9 @@ std::string
 encodeSweepCells(const std::vector<attack::SweepCell> &cells)
 {
     util::ByteWriter w;
-    w.u32(static_cast<std::uint32_t>(cells.size()));
-    for (const auto &c : cells) {
-        w.str(c.pattern);
-        w.str(c.mechanism);
-        w.i64(c.activations);
-        w.i64(c.flips);
-        w.i64(c.mitigationRefreshes);
-    }
+    w.list(cells, [](util::ByteWriter &out, const attack::SweepCell &c) {
+        c.serialize(out);
+    });
     return w.bytes();
 }
 
@@ -144,22 +114,7 @@ decodeSweepCells(const std::string &bytes,
                  std::vector<attack::SweepCell> &out)
 {
     util::ByteReader r(bytes);
-    const std::uint32_t n = r.u32();
-    if (!r.ok() || n > kMaxListEntries)
-        return false;
-    out.clear();
-    out.reserve(n);
-    for (std::uint32_t i = 0; i < n; ++i) {
-        attack::SweepCell c;
-        c.pattern = r.str();
-        c.mechanism = r.str();
-        c.activations = r.i64();
-        c.flips = r.i64();
-        c.mitigationRefreshes = r.i64();
-        if (!r.ok())
-            return false;
-        out.push_back(std::move(c));
-    }
+    out = r.list(attack::SweepCell::deserialize);
     return r.done();
 }
 
@@ -168,11 +123,10 @@ encodeHcFirstResults(
     const std::vector<std::optional<std::int64_t>> &results)
 {
     util::ByteWriter w;
-    w.u32(static_cast<std::uint32_t>(results.size()));
-    for (const auto &hc : results) {
-        w.u8(hc ? 1 : 0);
-        w.i64(hc.value_or(0));
-    }
+    w.list(results, [](util::ByteWriter &out,
+                       const std::optional<std::int64_t> &hc) {
+        out.optI64(hc);
+    });
     return w.bytes();
 }
 
@@ -181,19 +135,7 @@ decodeHcFirstResults(const std::string &bytes,
                      std::vector<std::optional<std::int64_t>> &out)
 {
     util::ByteReader r(bytes);
-    const std::uint32_t n = r.u32();
-    if (!r.ok() || n > kMaxListEntries)
-        return false;
-    out.clear();
-    out.reserve(n);
-    for (std::uint32_t i = 0; i < n; ++i) {
-        const bool present = r.u8() != 0;
-        const std::int64_t value = r.i64();
-        if (!r.ok())
-            return false;
-        out.push_back(present ? std::optional<std::int64_t>(value)
-                              : std::nullopt);
-    }
+    out = r.list([](util::ByteReader &in) { return in.optI64(); });
     return r.done();
 }
 

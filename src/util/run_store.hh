@@ -41,10 +41,12 @@ namespace rowhammer::util
 
 /**
  * The record store. Thread-safe: sweep workers put() concurrently as
- * shards complete. Typical lifecycle:
+ * shards complete. Lifecycle; the sweep drivers run it through
+ * util/execution.hh, where openCheckpoint() constructs and load()s the
+ * store and memoized() does the get-else-put once per shard:
  *
  *   RunStore store(RunStore::pathInDir(dir, config.hash()),
- *                  config.hash(), io);
+ *                  config.hash(), io, true);  // exclusive
  *   store.load();                        // warns + recovers on damage
  *   if (const std::string *v = store.get(key)) { ...decode...; }
  *   else { ...compute...; store.put(key, encoded); }

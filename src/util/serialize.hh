@@ -16,8 +16,10 @@
 #ifndef ROWHAMMER_UTIL_SERIALIZE_HH
 #define ROWHAMMER_UTIL_SERIALIZE_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -57,6 +59,22 @@ class ByteWriter
         buf_.append(s);
     }
 
+    /** A maybe-value: a presence byte, then the value (0 if absent). */
+    void optI64(const std::optional<std::int64_t> &v)
+    {
+        u8(v ? 1 : 0);
+        i64(v.value_or(0));
+    }
+
+    /** A u32 count, then item(*this, x) for every x in order. */
+    template <class T, class Item>
+    void list(const std::vector<T> &v, Item &&item)
+    {
+        u32(static_cast<std::uint32_t>(v.size()));
+        for (const T &x : v)
+            item(*this, x);
+    }
+
     void maskVec(const std::vector<std::uint64_t> &v)
     {
         u32(static_cast<std::uint32_t>(v.size()));
@@ -93,6 +111,10 @@ class ByteWriter
 class ByteReader
 {
   public:
+    /** list() rejects counts above this as garbage: a corrupt count
+     *  field must not drive a multi-GB allocation. */
+    static constexpr std::uint32_t kMaxListEntries = 1u << 20;
+
     explicit ByteReader(const std::string &bytes) : bytes_(bytes) {}
 
     /** The reader only borrows the bytes; constructing one from a
@@ -146,6 +168,36 @@ class ByteReader
         }
         std::string out = bytes_.substr(pos_, n);
         pos_ += n;
+        return out;
+    }
+
+    [[nodiscard]] std::optional<std::int64_t> optI64()
+    {
+        const bool present = u8() != 0;
+        const std::int64_t v = i64();
+        return present ? std::optional<std::int64_t>(v) : std::nullopt;
+    }
+
+    /**
+     * The inverse of ByteWriter::list: a u32 count (at most
+     * kMaxListEntries), then item(*this) per entry. Stops at the first
+     * underrun; a rejected count or an underrun latches ok() == false.
+     */
+    template <class Item>
+    [[nodiscard]] auto list(Item &&item)
+        -> std::vector<decltype(item(*this))>
+    {
+        const std::uint32_t n = u32();
+        if (n > kMaxListEntries)
+            ok_ = false;
+        std::vector<decltype(item(*this))> out;
+        if (!ok_)
+            return out;
+        // Every entry takes at least one byte, so the input bounds the
+        // allocation even when the count is a lie.
+        out.reserve(std::min<std::size_t>(n, bytes_.size() - pos_));
+        for (std::uint32_t i = 0; i < n && ok_; ++i)
+            out.push_back(item(*this));
         return out;
     }
 

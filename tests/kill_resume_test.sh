@@ -1,20 +1,22 @@
 #!/bin/sh
 # Crash-safety end-to-end test: SIGKILL a checkpointed bench mid-run,
 # rerun it against the same checkpoint directory, and assert the
-# resumed table is byte-identical to an uninterrupted run. Covers both
-# checkpointed bench families: the Figure 10 mitigation sweep
-# (ExperimentRunner shards), the Figure 8 HCfirst population run
-# (per-chip PopulationRunner records), and the fuzzing campaign
-# (per-(pattern, chip) session records feeding an iterative search —
-# resume replays the generations with memoized sessions).
+# resumed table is byte-identical to an uninterrupted run. Covers every
+# checkpointed driver: the Figure 10 mitigation sweep (ExperimentRunner
+# shards), the Figure 8 HCfirst population run (per-chip
+# PopulationRunner records), the fuzzing campaign (per-(pattern, chip)
+# session records feeding an iterative search — resume replays the
+# generations with memoized sessions), and the attack-pattern sweep
+# (per-cell records of a mapped grid).
 #
 # Usage: kill_resume_test.sh <fig10_mitigations> [<fig8_hcfirst_dist>
-#        [<fuzz_campaign>]]
+#        [<fuzz_campaign> [<attack_sweep>]]]
 set -eu
 
-fig10="${1:?usage: kill_resume_test.sh <fig10_mitigations> [<fig8_hcfirst_dist> [<fuzz_campaign>]]}"
+fig10="${1:?usage: kill_resume_test.sh <fig10_mitigations> [<fig8_hcfirst_dist> [<fuzz_campaign> [<attack_sweep>]]]}"
 fig8="${2:-}"
 fuzz="${3:-}"
+sweep="${4:-}"
 work="$(mktemp -d)"
 trap 'rm -rf "$work"' EXIT
 
@@ -106,4 +108,14 @@ if [ -n "$fuzz" ]; then
     RH_FZ_CHIPS=4
     export RH_FZ_GENERATIONS RH_FZ_POPULATION RH_FZ_CHIPS
     kill_resume_case "$fuzz" fuzz
+fi
+
+if [ -n "$sweep" ]; then
+    # A bank-xor grid over 16 banks with enough fuzzed patterns that
+    # the cell batch spans a few seconds: the SIGKILL lands mid-grid.
+    RH_AS_BANKS=16
+    RH_AS_MAPPING=bank-xor
+    RH_AS_FUZZ=100
+    export RH_AS_BANKS RH_AS_MAPPING RH_AS_FUZZ
+    kill_resume_case "$sweep" attack_sweep
 fi

@@ -103,6 +103,20 @@ TEST(ExperimentSweep, ThreadCountInvariant)
     EXPECT_GT(measured, 0u);
 }
 
+TEST(ExperimentSweep, ConstructorRejectsOutOfRangeMixIndices)
+{
+    // The catalogue has 48 mixes; an index outside it must fail as a
+    // user error before any mix is looked up.
+    for (const int mix : {-1, 48, 100000000}) {
+        ExperimentConfig config = smallConfig(1);
+        config.mixIndices = {0, mix};
+        EXPECT_THROW(ExperimentRunner{config}, util::FatalError) << mix;
+    }
+    ExperimentConfig edge = smallConfig(1);
+    edge.mixIndices = {0, 47};
+    EXPECT_NO_THROW(ExperimentRunner{edge});
+}
+
 TEST(ExperimentSweep, RepeatedSweepIsStable)
 {
     // Caches warmed by the first sweep must not change the second.

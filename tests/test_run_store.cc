@@ -12,10 +12,14 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <memory>
+#include <optional>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "util/execution.hh"
 #include "util/io.hh"
 #include "util/logging.hh"
 #include "util/run_store.hh"
@@ -109,6 +113,54 @@ TEST(Serialize, ReaderUnderrunLatchesNotOk)
     (void)r.u32();
     EXPECT_FALSE(r.ok());
     EXPECT_FALSE(r.done());
+}
+
+TEST(Serialize, ListAndOptI64RoundTripAndRejectDamage)
+{
+    const std::vector<std::optional<std::int64_t>> values{
+        std::nullopt, 4800, -3, std::nullopt};
+    ByteWriter w;
+    w.list(values, [](ByteWriter &out,
+                      const std::optional<std::int64_t> &v) {
+        out.optI64(v);
+    });
+    const std::string bytes = w.bytes();
+    ASSERT_EQ(bytes.size(), 4u + 9u * values.size());
+    const auto item = [](ByteReader &in) { return in.optI64(); };
+    {
+        ByteReader r(bytes);
+        EXPECT_EQ(r.list(item), values);
+        EXPECT_TRUE(r.done());
+    }
+
+    // Every truncation underruns, and a trailing byte is left over.
+    for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
+        const std::string torn = bytes.substr(0, cut);
+        ByteReader r(torn);
+        (void)r.list(item);
+        EXPECT_FALSE(r.done()) << "accepted truncation at " << cut;
+    }
+    const std::string padded = bytes + "x";
+    ByteReader trailing(padded);
+    EXPECT_EQ(trailing.list(item), values);
+    EXPECT_FALSE(trailing.done());
+
+    // The count guard: a corrupt count never drives an allocation, even
+    // when enough bytes follow to satisfy it.
+    ByteWriter at_limit;
+    at_limit.u32(ByteReader::kMaxListEntries);
+    ByteWriter over_limit;
+    over_limit.u32(ByteReader::kMaxListEntries + 1);
+    const std::string zeros(ByteReader::kMaxListEntries + 1, '\0');
+    const std::string at_bytes = at_limit.bytes() + zeros;
+    const std::string over_bytes = over_limit.bytes() + zeros;
+    const auto byte_item = [](ByteReader &in) { return in.u8(); };
+    ByteReader at(at_bytes);
+    EXPECT_EQ(at.list(byte_item).size(), ByteReader::kMaxListEntries);
+    EXPECT_TRUE(at.ok());
+    ByteReader over(over_bytes);
+    EXPECT_TRUE(over.list(byte_item).empty());
+    EXPECT_FALSE(over.ok());
 }
 
 TEST(AtomicWrite, SurvivesShortWrites)
@@ -495,6 +547,104 @@ TEST(RunStore, ConcurrentPutsAllLand)
         ASSERT_NE(reloaded.get(k), nullptr);
         EXPECT_EQ(*reloaded.get(k), "v" + std::to_string(k));
     }
+}
+
+/** A memoized i64 shard whose decode insists on a positive value
+ *  (standing in for a driver's own staleness check). */
+std::int64_t
+memoI64(RunStore *store, std::uint64_t key, std::int64_t value,
+        int &computed)
+{
+    return memoized<std::int64_t>(
+        store, key,
+        [&] {
+            ++computed;
+            return value;
+        },
+        [](ByteWriter &w, std::int64_t v) { w.i64(v); },
+        [](ByteReader &r, std::int64_t &v) {
+            v = r.i64();
+            return v > 0;
+        });
+}
+
+TEST(Execution, MemoizedComputesOnceThenServesTheRecord)
+{
+    int computed = 0;
+    EXPECT_EQ(memoI64(nullptr, 1, 42, computed), 42);
+    EXPECT_EQ(memoI64(nullptr, 1, 42, computed), 42);
+    EXPECT_EQ(computed, 2); // No store: always computes.
+
+    TempDir dir;
+    RunStore store(dir.path() + "/memo.rst", 5);
+    computed = 0;
+    EXPECT_EQ(memoI64(&store, 1, 42, computed), 42);
+    EXPECT_EQ(memoI64(&store, 1, 99, computed), 42); // Served.
+    EXPECT_EQ(computed, 1);
+    ByteWriter w;
+    w.i64(42);
+    ASSERT_NE(store.get(1), nullptr);
+    EXPECT_EQ(*store.get(1), w.bytes());
+}
+
+TEST(Execution, MemoizedRejectsStaleAndLongRecordsWithOneWarning)
+{
+    TempDir dir;
+    RunStore store(dir.path() + "/memo.rst", 5);
+    ByteWriter stale;
+    stale.i64(-7); // Decodes, but decode's own check rejects it.
+    store.put(0xAB, stale.bytes());
+    store.put(0xCD, stale.bytes() + "x"); // A trailing byte.
+    ByteWriter good;
+    good.i64(7);
+    store.put(0xEF, good.bytes() + "x");
+
+    for (const std::uint64_t key : {0xABull, 0xCDull, 0xEFull}) {
+        int computed = 0;
+        testing::internal::CaptureStderr();
+        EXPECT_EQ(memoI64(&store, key, 3, computed), 3);
+        const std::string err = testing::internal::GetCapturedStderr();
+        EXPECT_EQ(computed, 1);
+        // One warning, naming the store and the key.
+        EXPECT_EQ(err.find("warn:"), err.rfind("warn:")) << err;
+        EXPECT_NE(err.find(store.path()), std::string::npos) << err;
+        std::ostringstream hex;
+        hex << std::hex << key;
+        EXPECT_NE(err.find(hex.str()), std::string::npos) << err;
+    }
+}
+
+TEST(Execution, PoolAndCheckpointFollowTheKnobs)
+{
+    Execution exec;
+    exec.threads = 2;
+    std::unique_ptr<TaskPool> owned;
+    TaskPool &created = poolFor(exec, owned);
+    ASSERT_NE(owned, nullptr);
+    EXPECT_EQ(&created, owned.get());
+    EXPECT_EQ(created.threadCount(), 2);
+    EXPECT_EQ(&poolFor(exec, owned), &created); // Created once.
+
+    TaskPool borrowed(1);
+    exec.pool = &borrowed;
+    std::unique_ptr<TaskPool> unused;
+    EXPECT_EQ(&poolFor(exec, unused), &borrowed);
+    EXPECT_EQ(unused, nullptr);
+
+    EXPECT_EQ(openCheckpoint(exec, 77), nullptr); // No directory.
+    TempDir dir;
+    exec.checkpointPath = dir.path();
+    {
+        const auto store = openCheckpoint(exec, 77);
+        ASSERT_NE(store, nullptr);
+        EXPECT_EQ(store->path(), RunStore::pathInDir(dir.path(), 77));
+        store->put(1, "done");
+    }
+    const auto resumed = openCheckpoint(exec, 77);
+    ASSERT_NE(resumed, nullptr);
+    EXPECT_EQ(resumed->size(), 1u); // Loaded on open.
+    // Opened exclusive: a second live opener dies naming the holder.
+    EXPECT_THROW(openCheckpoint(exec, 77), FatalError);
 }
 
 } // namespace

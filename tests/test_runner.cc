@@ -107,31 +107,6 @@ TEST(PopulationRunner, ChipSaltsSurviveSubsetting)
     EXPECT_EQ(partial[1], full[1]);
 }
 
-TEST(PopulationRunner, DataPatternStudiesMatchSerial)
-{
-    const auto chips = fault::sampleConfigChips(
-        fault::TypeNode::DDR4New, fault::Manufacturer::A, 2020, 3);
-    ASSERT_GE(chips.size(), 3u);
-
-    PopulationRunner serial(withThreads(1));
-    PopulationRunner parallel(withThreads(8));
-    const auto a = serial.runDataPatternStudies(chips, 150000, 1, 8,
-                                                smallGeometry());
-    const auto b = parallel.runDataPatternStudies(chips, 150000, 1, 8,
-                                                  smallGeometry());
-
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        EXPECT_EQ(a[i].unionSize, b[i].unionSize);
-        EXPECT_EQ(a[i].worstPattern, b[i].worstPattern);
-        ASSERT_EQ(a[i].perPattern.size(), b[i].perPattern.size());
-        for (std::size_t p = 0; p < a[i].perPattern.size(); ++p) {
-            EXPECT_EQ(a[i].perPattern[p].uniqueFlips,
-                      b[i].perPattern[p].uniqueFlips);
-        }
-    }
-}
-
 TEST(PopulationRunner, ReusableAcrossBatches)
 {
     PopulationRunner runner(withThreads(3));

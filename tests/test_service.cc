@@ -272,6 +272,117 @@ TEST(ResultCodec, Fig10PointsRoundTripBitExact)
     EXPECT_EQ(encodeFig10Points(out), encodeFig10Points(points));
 }
 
+std::string
+toHex(const std::string &bytes)
+{
+    static const char digits[] = "0123456789abcdef";
+    std::string out;
+    for (const char c : bytes) {
+        const auto b = static_cast<unsigned char>(c);
+        out += digits[b >> 4];
+        out += digits[b & 0xF];
+    }
+    return out;
+}
+
+const attack::SweepCell kCellA{"double-sided", "TRR-4", 123456, 7, 89};
+const attack::SweepCell kCellB{"8-sided@bank-xor!naive", "Ideal", -1, 0,
+                               1LL << 40};
+
+std::vector<std::optional<std::int64_t>>
+pinnedHcFirsts()
+{
+    return {std::nullopt, 4800, -3, std::nullopt, 139000};
+}
+
+std::vector<core::SweepPoint>
+pinnedPoints()
+{
+    std::vector<core::SweepPoint> points(2);
+    points[0].kind = mitigation::Kind::PARA;
+    points[0].hcFirst = 2000;
+    points[0].evaluated = true;
+    points[0].normalizedPerformance.add(0.1 + 0.2);
+    points[0].normalizedPerformance.add(0.99);
+    points[0].bandwidthOverheadPercent.add(1e-17);
+    points[0].droppedWritebacks.add(3);
+    points[1].kind = mitigation::Kind::Ideal;
+    points[1].hcFirst = 64;
+    points[1].evaluated = false;
+    return points;
+}
+
+// The bytes checkpoint records and daemon replies carry. Stores and
+// memos already on disk hold exactly these, so the literals are fixed:
+// a codec edit that moves one byte orphans every existing store.
+TEST(ResultCodec, PinnedBytes)
+{
+    util::ByteWriter cell;
+    kCellA.serialize(cell);
+    EXPECT_EQ(toHex(cell.bytes()),
+              "0c000000646f75626c652d7369646564050000005452522d3440e201"
+              "000000000007000000000000005900000000000000");
+
+    util::ByteWriter opt;
+    opt.optI64(4800);
+    opt.optI64(std::nullopt);
+    EXPECT_EQ(toHex(opt.bytes()),
+              "01c012000000000000"
+              "000000000000000000");
+
+    EXPECT_EQ(toHex(encodeSweepCells({kCellA, kCellB})),
+              "020000000c000000646f75626c652d7369646564050000005452522d"
+              "3440e201000000000007000000000000005900000000000000160000"
+              "00382d73696465644062616e6b2d786f72216e616976650500000049"
+              "6465616cffffffffffffffff00000000000000000000000000010000");
+
+    EXPECT_EQ(toHex(encodeHcFirstResults(pinnedHcFirsts())),
+              "0500000000000000000000000001c01200000000000001fdffffffff"
+              "ffffff00000000000000000001f81e020000000000");
+
+    EXPECT_EQ(toHex(encodeFig10Points(pinnedPoints())),
+              "0200000002000000000000000000000000409f400102000000000000"
+              "00a4703d0ad7a3e43fd30968226c78ce3fa4703d0ad7a3f43f343333"
+              "333333d33fae47e17a14aeef3f010000000000000097d44646f50e67"
+              "3c000000000000000097d44646f50e673c97d44646f50e673c97d446"
+              "46f50e673c0100000000000000000000000000084000000000000000"
+              "00000000000000084000000000000008400000000000000840080000"
+              "00000000000000000000005040000000000000000000000000000000"
+              "000000000000000000000000000000000000000000000000f07f0000"
+              "00000000f0ff00000000000000000000000000000000000000000000"
+              "00000000000000000000000000000000f07f000000000000f0ff0000"
+              "00000000000000000000000000000000000000000000000000000000"
+              "0000000000000000f07f000000000000f0ff");
+}
+
+/** Every truncation, a trailing byte, and an oversized count must all
+ *  be rejected by a reply decoder. */
+template <class T, class Decode>
+void
+expectRejectsDamage(const std::string &bytes, Decode decode)
+{
+    std::vector<T> out;
+    ASSERT_TRUE(decode(bytes, out));
+    for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
+        EXPECT_FALSE(decode(bytes.substr(0, cut), out))
+            << "accepted truncation at " << cut;
+    }
+    EXPECT_FALSE(decode(bytes + "x", out));
+    util::ByteWriter oversized;
+    oversized.u32(util::ByteReader::kMaxListEntries + 1);
+    EXPECT_FALSE(decode(oversized.bytes() + bytes.substr(4), out));
+}
+
+TEST(ResultCodec, ListDecodersRejectDamage)
+{
+    expectRejectsDamage<attack::SweepCell>(
+        encodeSweepCells({kCellA, kCellB}), decodeSweepCells);
+    expectRejectsDamage<std::optional<std::int64_t>>(
+        encodeHcFirstResults(pinnedHcFirsts()), decodeHcFirstResults);
+    expectRejectsDamage<core::SweepPoint>(
+        encodeFig10Points(pinnedPoints()), decodeFig10Points);
+}
+
 // ------------------------------------------------------------- engine
 
 TEST(Engine, MemoMissThenByteIdenticalCachedHit)
@@ -343,6 +454,32 @@ TEST(Engine, MalformedAndUnsupportedAreTyped)
               Status::MalformedRequest);
     // Nothing malformed pollutes the memo.
     EXPECT_EQ(engine.memo().size(), 0u);
+}
+
+TEST(Engine, OutOfRangeMixIndexIsAnInternalError)
+{
+    TempDir dir;
+    EngineConfig config;
+    config.storeDir = dir.path();
+    config.threads = 1;
+    Engine engine(config);
+
+    // Decodable requests naming a mix outside the 48-mix catalogue
+    // must come back typed, never take the daemon down.
+    for (const int mix : {-1, 48}) {
+        Fig10Request req = tinyFig10();
+        req.config.mixIndices = {mix};
+        const Reply reply = engine.handle(
+            MsgType::Fig10, encodeRequestPayload(0, req.encode()));
+        EXPECT_EQ(reply.status, Status::InternalError) << mix;
+        EXPECT_NE(reply.message.find("mix index"), std::string::npos)
+            << reply.message;
+    }
+    EXPECT_EQ(engine.memo().size(), 0u);
+
+    const Reply ok = engine.handle(
+        MsgType::Fig10, encodeRequestPayload(0, tinyFig10().encode()));
+    EXPECT_EQ(ok.status, Status::Ok) << ok.message;
 }
 
 TEST(Engine, DeadlineMapsToDeadlineExceeded)
