@@ -68,15 +68,12 @@ run()
     config.mappingChannels =
         static_cast<int>(bench::envLong("RH_AS_CHANNELS", 1));
 
-    const std::int64_t budget = config.activationBudget > 0
-        ? config.activationBudget
-        : static_cast<std::int64_t>(
-              8.0 * config.hcFirst *
-              *std::max_element(config.nSides.begin(),
-                                config.nSides.end()));
+    std::string sizes;
+    for (int size : config.samplerSizes)
+        sizes += (sizes.empty() ? "" : ",") + std::to_string(size);
     std::cout << "chip HCfirst=" << config.hcFirst
-              << " sampler sizes={2,4,8}"
-              << " budget=" << budget
+              << " sampler sizes={" << sizes << "}"
+              << " budget=" << config.budget()
               << " acts/tREFI=" << config.actsPerRefInterval
               << " mapping=" << config.mapping
               << " attacker="

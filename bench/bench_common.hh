@@ -89,22 +89,6 @@ allCombinations()
     return out;
 }
 
-/**
- * Sample up to `count` chips of a configuration (population order, so
- * the first chip of the weakest group carries the published minimum).
- */
-inline std::vector<fault::ChipInstance>
-configChips(fault::TypeNode tn, fault::Manufacturer mfr, int count,
-            std::uint64_t seed = 2020)
-{
-    auto chips = fault::sampleConfigChips(tn, mfr, seed, count);
-    if (static_cast<int>(chips.size()) > count) {
-        // Keep the pinned-minimum chips of each group first.
-        chips.resize(static_cast<std::size_t>(count) * 2);
-    }
-    return chips;
-}
-
 /** Print a bench header in a uniform style. */
 inline void
 banner(const std::string &title)

@@ -67,12 +67,8 @@ run()
     config.attackerMapping = bench::envString("RH_FZ_ATTACKER", "");
     bench::applyExecutionEnv(config);
 
-    const std::int64_t budget = config.activationBudget > 0
-        ? config.activationBudget
-        : static_cast<std::int64_t>(20.0 * config.hcFirst *
-                                    config.maxOrder);
     std::cout << "chip HCfirst=" << config.hcFirst << " sampler=TRR-"
-              << config.samplerSize << " budget=" << budget
+              << config.samplerSize << " budget=" << config.budget()
               << " generations=" << config.generations
               << " population=" << config.population
               << " survivors=" << config.survivors

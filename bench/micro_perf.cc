@@ -226,7 +226,7 @@ BM_HammerSession(benchmark::State &state)
     // One attack::runPattern session on the fuzzing campaign's chip
     // (FuzzerConfig defaults): arg 0 = a FuzzingParameterSet draw at
     // the campaign's budget against the campaign's TRR sampler (size
-    // 4, InOrder), the fuzzer's inner loop; arg 1 = PARA on an 8-sided
+    // 4), the fuzzer's inner loop; arg 1 = PARA on an 8-sided
     // pattern, the per-ACT default path of Mitigation::onActivateRun.
     const attack::FuzzerConfig config;
     fault::ChipModel chip(config.spec, config.hcFirst, config.seed,
@@ -239,9 +239,7 @@ BM_HammerSession(benchmark::State &state)
     const bool fuzzed = state.range(0) == 0;
     attack::AccessPattern pattern;
     if (fuzzed) {
-        const std::int64_t budget = static_cast<std::int64_t>(
-            20.0 * config.hcFirst * config.maxOrder);
-        pattern = attack::FuzzingParameterSet(config, step, budget)
+        pattern = attack::FuzzingParameterSet(config, step, config.budget())
                       .sample(bank, victim, 1);
     } else {
         pattern = attack::PatternBuilder(
@@ -256,10 +254,8 @@ BM_HammerSession(benchmark::State &state)
     for (auto _ : state) {
         std::unique_ptr<mitigation::Mitigation> mechanism;
         if (fuzzed) {
-            mechanism = std::make_unique<mitigation::TrrSampler>(
-                7, mitigation::TrrSampler::Params{
-                       .samplerSize = config.samplerSize,
-                       .refreshSlotsPerRef = config.samplerSize});
+            mechanism =
+                std::make_unique<mitigation::TrrSampler>(config.samplerSize);
         } else {
             mechanism = mitigation::makeMitigation(
                 mitigation::Kind::PARA, config.hcFirst,

@@ -149,15 +149,11 @@ main()
     std::cout << "in-DRAM TRR sampler (2 slots, in-order) vs. a "
               << "projected-future chip (HCfirst " << kHcFirst << ")\n";
 
-    mitigation::TrrSampler::Params params;
-    params.samplerSize = 2;
-    params.refreshSlotsPerRef = 2;
-
     {
         std::cout << "\ndouble-sided hammer (the paper's worst case):\n";
         fault::ChipModel chip(spec, kHcFirst, 7, geometry);
         attack::PatternBuilder builder(builder_config, 1);
-        mitigation::TrrSampler trr(42, params);
+        mitigation::TrrSampler trr(2);
         runAttack(chip,
                   builder.doubleSided(chip.weakestBank(),
                                       chip.weakestRow()),
@@ -170,7 +166,7 @@ main()
         std::cout << "\n8-sided pattern (TRRespass-style decoys):\n";
         fault::ChipModel chip(spec, kHcFirst, 7, geometry);
         attack::PatternBuilder builder(builder_config, 1);
-        mitigation::TrrSampler trr(42, params);
+        mitigation::TrrSampler trr(2);
         const std::size_t flips = runAttack(
             chip,
             builder.nSided(chip.weakestBank(), chip.weakestRow(), 8),

@@ -96,7 +96,6 @@ PatternBuilder::singleSided(int bank, int victim) const
 {
     checkVictim(victim);
     AccessPattern p;
-    p.kind = PatternKind::SingleSided;
     p.label = "single-sided";
     p.bank = bank;
     p.victimRow = victim;
@@ -112,7 +111,6 @@ PatternBuilder::doubleSided(int bank, int victim) const
 {
     checkVictim(victim);
     AccessPattern p;
-    p.kind = PatternKind::DoubleSided;
     p.label = "double-sided";
     p.bank = bank;
     p.victimRow = victim;
@@ -130,7 +128,6 @@ PatternBuilder::nSided(int bank, int victim, int n) const
     const std::vector<int> offsets = nSidedOffsets(victim, n);
 
     AccessPattern p;
-    p.kind = PatternKind::ManySided;
     p.label = std::to_string(n) + "-sided";
     p.bank = bank;
     p.victimRow = victim;
@@ -192,7 +189,6 @@ PatternBuilder::fuzzed(int bank, int victim, std::uint64_t fuzz_seed) const
     }
 
     AccessPattern p;
-    p.kind = PatternKind::Fuzzed;
     p.label = "fuzz#" + std::to_string(fuzz_seed);
     p.bank = bank;
     p.victimRow = victim;

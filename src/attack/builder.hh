@@ -74,13 +74,11 @@ class PatternBuilder
      */
     AccessPattern fuzzed(int bank, int victim, std::uint64_t fuzz_seed) const;
 
-    /**
-     * Victim-relative aggressor offsets of nSided(victim, n), true
-     * pair last (exposed for tests and for charlib dose shapes).
-     */
+  private:
+    /** Victim-relative aggressor offsets of nSided(victim, n), true
+     *  pair last. */
     std::vector<int> nSidedOffsets(int victim, int n) const;
 
-  private:
     /** Fatal unless victim +/- step aggressors fit the array. */
     void checkVictim(int victim) const;
 

@@ -24,7 +24,6 @@ namespace
 // (campaign seed, one of these, structural indices) — never from
 // thread scheduling or scoring completion order.
 constexpr std::uint64_t kChipSalt = 0xC41BF00DULL;
-constexpr std::uint64_t kMechSalt = 0xA11ACEULL;
 constexpr std::uint64_t kStreamSalt = 0x5EEDB0B0ULL;
 constexpr std::uint64_t kBaselineSalt = 0xBA5E11ULL;
 constexpr std::uint64_t kSelectSalt = 0x5E1EC700ULL;
@@ -90,6 +89,14 @@ FuzzerConfig::serialize(util::ByteWriter &w) const
     w.str(attackerMapping);
     w.i64(mappingRanks);
     w.i64(mappingChannels);
+}
+
+std::int64_t
+FuzzerConfig::budget() const
+{
+    if (activationBudget > 0)
+        return activationBudget;
+    return static_cast<std::int64_t>(20.0 * hcFirst * maxOrder);
 }
 
 std::uint64_t
@@ -302,7 +309,6 @@ FuzzingParameterSet::sample(int bank, int victim,
 
     util::Rng rng(util::mix64(pattern_seed ^ kSampleSalt));
     AccessPattern pattern;
-    pattern.kind = PatternKind::Fuzzed;
     pattern.bank = bank;
     pattern.victimRow = victim;
     pattern.basePeriod = basePeriod_;
@@ -363,7 +369,6 @@ FuzzingParameterSet::mutate(const AccessPattern &parent,
 
     util::Rng rng(util::mix64(pattern_seed ^ kMutateSalt));
     AccessPattern child = parent;
-    child.kind = PatternKind::Fuzzed;
     child.seed = pattern_seed;
 
     const int count = static_cast<int>(child.slots.size());
@@ -529,10 +534,7 @@ CampaignResult
 Fuzzer::run() const
 {
     const FuzzerConfig &config = config_;
-    const std::int64_t budget = config.activationBudget > 0
-        ? config.activationBudget
-        : static_cast<std::int64_t>(20.0 * config.hcFirst *
-                                    config.maxOrder);
+    const std::int64_t budget = config.budget();
     const int rows = config.geometry.rows;
 
     // Mapping context (see SweepConfig): patterns are built in the
@@ -585,10 +587,6 @@ Fuzzer::run() const
 
     SessionConfig session;
     session.actsPerRefInterval = config.actsPerRefInterval;
-    mitigation::TrrSampler::Params trr;
-    trr.samplerSize = config.samplerSize;
-    trr.policy = mitigation::TrrSampler::Policy::InOrder;
-    trr.refreshSlotsPerRef = config.samplerSize;
 
     // One (pattern, chip) session. Everything derives from (campaign
     // seed, pattern seed, chip index): a carried survivor re-scores
@@ -624,11 +622,7 @@ Fuzzer::run() const
         if (!placed.slots.empty()) {
             fault::ChipModel chip(config.spec, config.hcFirst,
                                   target.seed, config.geometry);
-            mitigation::TrrSampler mech(
-                util::mix64(util::mix64(config.seed ^ kMechSalt) ^
-                            pattern.seed ^
-                            (0x9E3779B97F4A7C15ULL * (chip_idx + 1))),
-                trr);
+            mitigation::TrrSampler mech(config.samplerSize);
             util::Rng rng(
                 util::mix64(util::mix64(config.seed ^ kStreamSalt) ^
                             pattern.seed ^

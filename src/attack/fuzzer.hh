@@ -70,12 +70,12 @@ struct FuzzerConfig : util::Execution
     /** Core-pair amplitude cap (the REF-synchronized fit never goes
      *  above it; see FuzzingParameterSet). */
     int maxAmplitude = 120;
-    /** Total activations per pattern; 0 = 20 * hcFirst * maxOrder. */
+    /** Total activations per pattern; 0 = budget()'s default. */
     std::int64_t activationBudget = 0;
     /** Session REF cadence (see SessionConfig). */
     std::int64_t actsPerRefInterval = 240;
-    /** TRR sampler capacity the campaign attacks (InOrder policy, the
-     *  deterministic sampler the published fuzzers bypass). */
+    /** Capacity of the TRR sampler the campaign attacks (the
+     *  deterministic in-order sampler the published fuzzers bypass). */
     int samplerSize = 4;
     /** Hand-built N-sided baselines scored against the same chips and
      *  budget; the campaign headline compares the best fuzzed pattern
@@ -92,6 +92,10 @@ struct FuzzerConfig : util::Execution
     int mappingChannels = 1;
 
     FuzzerConfig();
+
+    /** Activations per pattern: activationBudget, or
+     *  20 * hcFirst * maxOrder when it is 0. */
+    std::int64_t budget() const;
 
     /**
      * Append the bit-stable encoding of the campaign description

@@ -3,26 +3,8 @@
 #include <algorithm>
 #include <cstdlib>
 
-#include "util/logging.hh"
-
 namespace rowhammer::attack
 {
-
-std::string
-toString(PatternKind kind)
-{
-    switch (kind) {
-      case PatternKind::SingleSided:
-        return "single-sided";
-      case PatternKind::DoubleSided:
-        return "double-sided";
-      case PatternKind::ManySided:
-        return "many-sided";
-      case PatternKind::Fuzzed:
-        return "fuzzed";
-    }
-    util::panic("toString: unknown PatternKind");
-}
 
 std::int64_t
 AccessPattern::activationsPerPeriod() const

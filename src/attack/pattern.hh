@@ -31,18 +31,6 @@
 namespace rowhammer::attack
 {
 
-/** The pattern families the builder generates. */
-enum class PatternKind
-{
-    SingleSided,
-    DoubleSided,
-    ManySided, ///< TRRespass-style N-sided with decoys front-loaded.
-    Fuzzed,    ///< Blacksmith-style frequency/phase/amplitude fuzzing.
-};
-
-/** Printable name, e.g. "double-sided". */
-std::string toString(PatternKind kind);
-
 /**
  * One aggressor slot: a row and its firing schedule within the base
  * period (zenhammer/Blacksmith AggressorAccessPattern, specialized to
@@ -64,7 +52,6 @@ struct AggressorSlot
 /** A complete hammering pattern against one victim. */
 struct AccessPattern
 {
-    PatternKind kind = PatternKind::DoubleSided;
     /** Human-readable pattern name, e.g. "8-sided" or "fuzz#3". */
     std::string label;
     int bank = 0;

@@ -1,7 +1,6 @@
 #include "sweep.hh"
 
 #include <algorithm>
-#include <functional>
 #include <memory>
 #include <sstream>
 #include <utility>
@@ -9,12 +8,8 @@
 #include "attack/builder.hh"
 #include "attack/trace_adapter.hh"
 #include "dram/timing.hh"
-#include "mitigation/ideal.hh"
-#include "mitigation/mrloc.hh"
-#include "mitigation/para.hh"
-#include "mitigation/prohit.hh"
+#include "mitigation/factory.hh"
 #include "mitigation/trr.hh"
-#include "mitigation/twice.hh"
 #include "util/logging.hh"
 #include "util/rng.hh"
 
@@ -24,55 +19,27 @@ namespace rowhammer::attack
 namespace
 {
 
-using MechFactory =
-    std::function<std::unique_ptr<mitigation::Mitigation>(std::uint64_t)>;
-
+/**
+ * One mechanism column: a factory kind under its printable name, or a
+ * TRR sampler of `samplerSize` slots labelled "TRR-<size>".
+ */
 struct MechDesc
 {
     std::string label;
-    MechFactory make;
+    mitigation::Kind kind = mitigation::Kind::None;
+    int samplerSize = 0;
 };
 
 std::vector<MechDesc>
 mechanismRoster(const SweepConfig &config)
 {
-    const dram::TimingSpec timing = dram::ddr4_2400();
-    const double hc = config.hcFirst;
-    const int rows = config.geometry.rows;
-
-    std::vector<MechDesc> out;
-    out.push_back({"None", [](std::uint64_t) {
-                       return std::make_unique<mitigation::NoMitigation>();
-                   }});
-    for (int size : config.samplerSizes) {
-        mitigation::TrrSampler::Params params;
-        params.samplerSize = size;
-        params.policy = mitigation::TrrSampler::Policy::InOrder;
-        params.refreshSlotsPerRef = size;
-        out.push_back({"TRR-" + std::to_string(size),
-                       [params](std::uint64_t seed) {
-                           return std::make_unique<
-                               mitigation::TrrSampler>(seed, params);
-                       }});
-    }
-    out.push_back({"PARA", [hc, timing](std::uint64_t seed) {
-                       return std::make_unique<mitigation::Para>(
-                           hc, timing, seed);
-                   }});
-    out.push_back({"ProHIT", [](std::uint64_t seed) {
-                       return std::make_unique<mitigation::ProHit>(seed);
-                   }});
-    out.push_back({"MRLoc", [](std::uint64_t seed) {
-                       return std::make_unique<mitigation::MrLoc>(seed);
-                   }});
-    out.push_back({"TWiCe-ideal", [hc, timing](std::uint64_t) {
-                       return std::make_unique<mitigation::TWiCe>(
-                           hc, timing, true);
-                   }});
-    out.push_back({"Ideal", [hc, rows](std::uint64_t) {
-                       return std::make_unique<mitigation::IdealRefresh>(
-                           hc, rows);
-                   }});
+    using mitigation::Kind;
+    std::vector<MechDesc> out{{mitigation::toString(Kind::None), Kind::None}};
+    for (int size : config.samplerSizes)
+        out.push_back({"TRR-" + std::to_string(size), Kind::TrrSampler, size});
+    for (Kind kind : {Kind::PARA, Kind::ProHIT, Kind::MRLoc, Kind::TWiCeIdeal,
+                      Kind::Ideal})
+        out.push_back({mitigation::toString(kind), kind});
     return out;
 }
 
@@ -103,6 +70,17 @@ SweepConfig::serialize(util::ByteWriter &w) const
     w.str(attackerMapping);
     w.i64(mappingRanks);
     w.i64(mappingChannels);
+}
+
+std::int64_t
+SweepConfig::budget() const
+{
+    if (nSides.empty())
+        util::fatal("attack sweep: nSides must not be empty");
+    if (activationBudget > 0)
+        return activationBudget;
+    return static_cast<std::int64_t>(
+        8.0 * hcFirst * *std::max_element(nSides.begin(), nSides.end()));
 }
 
 std::uint64_t
@@ -158,14 +136,9 @@ SweepCell::deserialize(util::ByteReader &r)
 std::vector<SweepCell>
 runSweep(const SweepConfig &config)
 {
-    if (config.nSides.empty())
-        util::fatal("attack sweep: nSides must not be empty");
-
+    const std::int64_t budget = config.budget();
     const int max_n =
         *std::max_element(config.nSides.begin(), config.nSides.end());
-    const std::int64_t budget = config.activationBudget > 0
-        ? config.activationBudget
-        : static_cast<std::int64_t>(8.0 * config.hcFirst * max_n);
 
     // One probe chip fixes the profiled target (the weakest row); every
     // cell re-instantiates the same chip identity from the same seed.
@@ -211,6 +184,7 @@ runSweep(const SweepConfig &config)
     }
 
     const std::vector<MechDesc> mechs = mechanismRoster(config);
+    const dram::TimingSpec timing = dram::ddr4_2400();
 
     SessionConfig session;
     session.actsPerRefInterval = config.actsPerRefInterval;
@@ -229,8 +203,14 @@ runSweep(const SweepConfig &config)
             return out;
         fault::ChipModel chip(config.spec, config.hcFirst, config.seed,
                               config.geometry);
-        const auto mech =
-            desc.make(util::mix64(config.seed ^ (0xA11ACEULL + cell)));
+        std::unique_ptr<mitigation::Mitigation> mech;
+        if (desc.kind == mitigation::Kind::TrrSampler) {
+            mech = std::make_unique<mitigation::TrrSampler>(desc.samplerSize);
+        } else {
+            mech = mitigation::makeMitigation(
+                desc.kind, config.hcFirst, timing, config.geometry.rows,
+                util::mix64(config.seed ^ (0xA11ACEULL + cell)));
+        }
         util::Rng rng(util::mix64(config.seed ^ 0x5EEDB0B0ULL ^ cell));
         const SessionResult run =
             runPattern(chip, pattern, mech.get(), session, rng);

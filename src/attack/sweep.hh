@@ -50,7 +50,7 @@ struct SweepConfig : util::Execution
     int fuzzCount = 3;
     /** TRR sampler sizes compared. */
     std::vector<int> samplerSizes{2, 4, 8};
-    /** Total activations per pattern; 0 = 8 * hcFirst * max(nSides). */
+    /** Total activations per pattern; 0 = budget()'s default. */
     std::int64_t activationBudget = 0;
     /** Session REF cadence (see SessionConfig). */
     std::int64_t actsPerRefInterval = 240;
@@ -78,6 +78,11 @@ struct SweepConfig : util::Execution
     int mappingChannels = 1;
 
     SweepConfig();
+
+    /** Activations per pattern: activationBudget, or
+     *  8 * hcFirst * max(nSides) when it is 0. fatal() if nSides is
+     *  empty. */
+    std::int64_t budget() const;
 
     /**
      * Append the bit-stable encoding of the run description (every

@@ -140,14 +140,6 @@ TraceAdapter::address(int row, std::int64_t visit) const
     return addr;
 }
 
-dram::Address
-TraceAdapter::addressAt(std::int64_t index) const
-{
-    const std::size_t pos = static_cast<std::size_t>(
-        index % static_cast<std::int64_t>(schedule_.size()));
-    return address(schedule_[pos], index);
-}
-
 cpu::TraceEntry
 TraceAdapter::next()
 {

@@ -141,13 +141,6 @@ class TraceAdapter : public cpu::TraceSource
      */
     void resync() { schedulePos_ = 0; }
 
-    /**
-     * Device address of absolute schedule position `index` (row from
-     * the cyclic schedule, column rotated per visit). next() follows
-     * this sequence exactly until the first resync().
-     */
-    dram::Address addressAt(std::int64_t index) const;
-
   private:
     /** Address of a read of `row`, column rotated by visit counter. */
     dram::Address address(int row, std::int64_t visit) const;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "charlib/hcfirst.hh"
 #include "util/logging.hh"
@@ -178,6 +179,10 @@ monotonicityStudy(fault::ChipModel &chip, std::int64_t hc_min,
                   std::int64_t hc_max, std::int64_t hc_step,
                   int iterations, int sample_rows, util::Rng &rng)
 {
+    if (hc_step <= 0) {
+        util::fatal("monotonicityStudy: hammer-count step must be "
+                    "positive (got " + std::to_string(hc_step) + ")");
+    }
     const auto victims = sampleVictimRows(chip, sample_rows);
     const fault::DataPattern dp = chip.spec().worstPattern;
 

@@ -119,7 +119,7 @@ struct MonotonicityResult
  * Table 5: sweep HC over [hc_min, hc_max] with the given step, hammering
  * each sampled victim `iterations` times per step, and compute the
  * fraction of flip-observed cells whose empirical flip probability is
- * monotonically non-decreasing in HC.
+ * monotonically non-decreasing in HC. fatal() unless hc_step > 0.
  */
 MonotonicityResult
 monotonicityStudy(fault::ChipModel &chip, std::int64_t hc_min,

@@ -1,7 +1,7 @@
 #include "hcfirst.hh"
 
 #include <algorithm>
-#include <cmath>
+#include <string>
 
 #include "util/logging.hh"
 #include "util/serialize.hh"
@@ -106,6 +106,10 @@ probeSeed(std::uint64_t base, int bank, int victim)
 std::vector<int>
 sampleVictimRows(const fault::ChipModel &chip, int count)
 {
+    if (count < 0) {
+        util::fatal("sampleVictimRows: negative victim-row count " +
+                    std::to_string(count));
+    }
     const int rows = chip.geometry().rows;
     const int margin = 8;
     std::vector<int> out;
@@ -122,23 +126,14 @@ sampleVictimRows(const fault::ChipModel &chip, int count)
     return out;
 }
 
-namespace
-{
-
-/**
- * Shared search skeleton of findHcFirst / findHcFirstUnderDoses: the
- * victim sampling, probe-stream derivation, pruning, and binary search,
- * parameterized over how one (bank, victim, hc, rng) probe hammers the
- * chip. `hammer` must return the probe's flip observations.
- */
-template <typename HammerFn>
 std::optional<std::int64_t>
-searchHcFirst(fault::ChipModel &chip, const HcFirstOptions &options,
-              util::Rng &rng, HammerFn &&hammer)
+findHcFirst(fault::ChipModel &chip, const HcFirstOptions &options,
+            util::Rng &rng)
 {
     if (options.hcMin <= 0 || options.hcMax < options.hcMin)
         util::fatal("findHcFirst: invalid hammer-count sweep bounds");
 
+    const fault::DataPattern dp = chip.spec().worstPattern;
     auto victims = sampleVictimRows(chip, options.sampleRows);
     const int bank_count = chip.geometry().banks;
     std::optional<std::int64_t> best;
@@ -167,8 +162,9 @@ searchHcFirst(fault::ChipModel &chip, const HcFirstOptions &options,
 
         auto probe = [&](std::int64_t hc) {
             util::Rng probe_rng(probeSeed(base, bank, victim));
-            return hasWordWithKFlips(hammer(bank, victim, hc, probe_rng),
-                                     options.flipsPerWord);
+            return hasWordWithKFlips(
+                chip.hammerDoubleSided(bank, victim, hc, dp, probe_rng),
+                options.flipsPerWord);
         };
 
         // Skip rows that show nothing even at the current upper bound
@@ -194,55 +190,6 @@ searchHcFirst(fault::ChipModel &chip, const HcFirstOptions &options,
             best = hi;
     }
     return best;
-}
-
-} // namespace
-
-std::optional<std::int64_t>
-findHcFirst(fault::ChipModel &chip, const HcFirstOptions &options,
-            util::Rng &rng)
-{
-    const fault::DataPattern dp = chip.spec().worstPattern;
-    return searchHcFirst(
-        chip, options, rng,
-        [&](int bank, int victim, std::int64_t hc, util::Rng &probe_rng) {
-            return chip.hammerDoubleSided(bank, victim, hc, dp,
-                                          probe_rng);
-        });
-}
-
-std::optional<std::int64_t>
-findHcFirstUnderDoses(fault::ChipModel &chip,
-                      const std::vector<RelativeDose> &shape,
-                      const HcFirstOptions &options, util::Rng &rng)
-{
-    if (shape.empty())
-        util::fatal("findHcFirstUnderDoses: empty aggressor shape");
-    for (const RelativeDose &dose : shape) {
-        if (dose.offset == 0 || dose.weight <= 0.0)
-            util::fatal("findHcFirstUnderDoses: shape entries need a "
-                        "non-zero offset and positive weight");
-    }
-
-    const fault::DataPattern dp = chip.spec().worstPattern;
-    const int rows = chip.geometry().rows;
-    std::vector<fault::AggressorDose> doses;
-    return searchHcFirst(
-        chip, options, rng,
-        [&](int bank, int victim, std::int64_t hc, util::Rng &probe_rng) {
-            doses.clear();
-            for (const RelativeDose &dose : shape) {
-                const int row = victim + dose.offset;
-                if (row < 0 || row >= rows)
-                    continue; // Pattern clipped at the array edge.
-                doses.push_back(fault::AggressorDose{
-                    row,
-                    static_cast<std::int64_t>(
-                        std::llround(dose.weight *
-                                     static_cast<double>(hc)))});
-            }
-            return chip.hammerRows(bank, victim, doses, dp, probe_rng);
-        });
 }
 
 } // namespace rowhammer::charlib

@@ -78,32 +78,9 @@ std::optional<std::int64_t> findHcFirst(fault::ChipModel &chip,
                                         util::Rng &rng);
 
 /**
- * Victim-relative aggressor shape for findHcFirstUnderDoses: at hammer
- * count HC, the row at victim + offset receives round(weight * HC)
- * activations. The double-sided shape is {{-step, 1}, {+step, 1}}.
- */
-struct RelativeDose
-{
-    int offset = 0;
-    double weight = 1.0;
-};
-
-/**
- * findHcFirst generalized to an arbitrary victim-relative aggressor
- * shape (N-sided or frequency-fuzzed patterns reduced to per-row
- * weights). The returned HC is the per-unit-weight activation count at
- * the first qualifying flip, so for the double-sided shape this matches
- * findHcFirst. Offsets that fall outside the array for a given victim
- * are dropped for that victim (mirroring how an attacker clips a
- * pattern at the array edge). Determinism contract as findHcFirst.
- */
-std::optional<std::int64_t> findHcFirstUnderDoses(
-    fault::ChipModel &chip, const std::vector<RelativeDose> &shape,
-    const HcFirstOptions &options, util::Rng &rng);
-
-/**
  * Victim rows an experiment should test for this chip: an even spread
- * across the array plus the chip's weakest row, all away from edges.
+ * of `count` rows across the array plus the chip's weakest row, all away
+ * from edges. fatal() if count is negative.
  */
 std::vector<int> sampleVictimRows(const fault::ChipModel &chip,
                                   int count);

@@ -212,34 +212,11 @@ ExperimentRunner::sharedBaselineIpcs(int mix_index) const
     return ipcs;
 }
 
-ExperimentRunner::MixBaseline
-ExperimentRunner::MixBaseline::combine(std::vector<double> alone_ipc,
-                                       const std::vector<double> &shared)
-{
-    MixBaseline out;
-    out.aloneIpc = std::move(alone_ipc);
-    out.baselineWs = weightedSpeedupFromIpcs(shared, out.aloneIpc);
-    return out;
-}
-
-ExperimentRunner::MixBaseline
-ExperimentRunner::computeBaseline(int mix_index) const
-{
-    std::vector<double> alone;
-    for (int core = 0; core < config_.system.cores; ++core)
-        alone.push_back(soloIpc(mix_index, core));
-    return MixBaseline::combine(std::move(alone),
-                                sharedBaselineIpcs(mix_index));
-}
-
 const ExperimentRunner::MixBaseline &
 ExperimentRunner::baseline(int mix_index)
 {
-    auto it = baselineCache_.find(mix_index);
-    if (it != baselineCache_.end())
-        return it->second;
-    return baselineCache_.emplace(mix_index, computeBaseline(mix_index))
-        .first->second;
+    prepare({mix_index});
+    return baselineCache_.at(mix_index);
 }
 
 void
@@ -258,7 +235,7 @@ ExperimentRunner::prepare(const std::vector<int> &mix_indices)
     // stays saturated even when few mixes are missing and each run is
     // expensive (multi-channel systems tick every controller per
     // step). Results are combined in task order, so the cache is
-    // byte-identical to the serial computeBaseline() path.
+    // byte-identical for any thread count.
     const auto cores = static_cast<std::size_t>(config_.system.cores);
     const std::size_t per_mix = cores + 1;
     util::RunStore *checkpoint = store();
@@ -284,13 +261,11 @@ ExperimentRunner::prepare(const std::vector<int> &mix_indices)
                 });
         });
     for (std::size_t m = 0; m < missing.size(); ++m) {
-        std::vector<double> alone;
+        MixBaseline &base = baselineCache_[missing[m]];
         for (std::size_t core = 0; core < cores; ++core)
-            alone.push_back(runs[m * per_mix + core][0]);
-        baselineCache_.emplace(
-            missing[m],
-            MixBaseline::combine(std::move(alone),
-                                 runs[m * per_mix + cores]));
+            base.aloneIpc.push_back(runs[m * per_mix + core][0]);
+        base.baselineWs = weightedSpeedupFromIpcs(
+            runs[m * per_mix + cores], base.aloneIpc);
     }
 }
 

@@ -123,7 +123,11 @@ class ExperimentRunner
      */
     void prepare(const std::vector<int> &mix_indices);
 
-    /** Run one mix under a mechanism; nullopt if not evaluable there. */
+    /**
+     * Run one mix under a mechanism; nullopt if not evaluable there.
+     * An unprepared mix is prepare()d first, which fans out on the
+     * pool: concurrent calls still need prepare() beforehand.
+     */
     std::optional<MixOutcome> runMix(int mix_index, mitigation::Kind kind,
                                      double hc_first);
 
@@ -154,12 +158,6 @@ class ExperimentRunner
     {
         std::vector<double> aloneIpc;
         double baselineWs = 0.0;
-
-        /** Assemble from the two kinds of baseline runs (shared by
-         *  computeBaseline() and the sharded prepare() path, so the
-         *  WS semantics live in one place). */
-        static MixBaseline combine(std::vector<double> alone_ipc,
-                                   const std::vector<double> &shared);
     };
 
     /** Weighted speedup of a shared run given standalone IPCs. */
@@ -173,9 +171,7 @@ class ExperimentRunner
      *  thread-safe). */
     std::vector<double> sharedBaselineIpcs(int mix_index) const;
 
-    /** Compute a mix's baseline from scratch (pure; thread-safe). */
-    MixBaseline computeBaseline(int mix_index) const;
-
+    /** A mix's cached baseline; prepare()s the mix first if needed. */
     const MixBaseline &baseline(int mix_index);
 
     ExperimentConfig config_;

@@ -6,20 +6,6 @@ namespace rowhammer::dram
 {
 
 std::string
-toString(Standard standard)
-{
-    switch (standard) {
-      case Standard::DDR3:
-        return "DDR3";
-      case Standard::DDR4:
-        return "DDR4";
-      case Standard::LPDDR4:
-        return "LPDDR4";
-    }
-    util::panic("toString: unknown Standard");
-}
-
-std::string
 toString(Command cmd)
 {
     switch (cmd) {

@@ -25,9 +25,6 @@ enum class Standard
     LPDDR4,
 };
 
-/** Printable name, e.g. "DDR4". */
-std::string toString(Standard standard);
-
 /**
  * DRAM bus commands modeled by the device. PREA precharges all banks in a
  * rank; REF is an all-bank auto-refresh.

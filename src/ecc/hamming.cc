@@ -179,52 +179,4 @@ HammingSec::decodeWithFlips(util::BitVec &data_io,
     return DecodeStatus::DetectedOnly;
 }
 
-SecDed::SecDed(std::size_t data_bits) : inner_(data_bits) {}
-
-util::BitVec
-SecDed::encode(const util::BitVec &data) const
-{
-    const util::BitVec inner_code = inner_.encode(data);
-    util::BitVec code(codeBits());
-    code.setRange(0, inner_code, 0, inner_code.size());
-    code.set(codeBits() - 1, inner_code.popcount() % 2 != 0);
-    return code;
-}
-
-DecodeResult
-SecDed::decode(const util::BitVec &codeword) const
-{
-    if (codeword.size() != codeBits())
-        util::panic("SecDed::decode: codeword width mismatch");
-
-    util::BitVec inner_code(inner_.codeBits());
-    inner_code.setRange(0, codeword, 0, inner_.codeBits());
-    const bool parity = inner_code.popcount() % 2 != 0;
-    const bool overall_mismatch = parity != codeword.get(codeBits() - 1);
-
-    DecodeResult inner_result = inner_.decode(inner_code);
-
-    DecodeResult result;
-    result.data = inner_result.data;
-    if (inner_result.status == DecodeStatus::NoError) {
-        // Clean syndrome. Parity mismatch means the error is in the
-        // overall parity bit itself; data is fine either way.
-        result.status = overall_mismatch ? DecodeStatus::Corrected
-                                         : DecodeStatus::NoError;
-        return result;
-    }
-    if (!overall_mismatch) {
-        // Non-zero syndrome with even overall parity: double-bit error.
-        // Detected, not corrected: return the stored (uncorrected) data.
-        result.status = DecodeStatus::DetectedOnly;
-        result.data = inner_.extractData(inner_code);
-        return result;
-    }
-    // Odd overall parity + non-zero syndrome: single error, trust the
-    // inner correction (which may still be a miscorrection for 3+ flips).
-    result.status = DecodeStatus::Corrected;
-    result.correctedBit = inner_result.correctedBit;
-    return result;
-}
-
 } // namespace rowhammer::ecc

@@ -1,9 +1,9 @@
 /**
  * @file
- * Hamming single-error-correcting codes and the SEC-DED extension, over an
- * arbitrary data width. Used both for the paper's 64-bit rank-level ECC
- * study (Figure 9) and as the inner code of the LPDDR4 on-die (136,128)
- * ECC model.
+ * Hamming single-error-correcting codes over an arbitrary data width: the
+ * inner code of the LPDDR4 on-die (136,128) ECC model. (The paper's
+ * rank-level ECC study, Figure 9, needs no code model: it measures the
+ * hammer count to the first word with k flips, see charlib/hcfirst.hh.)
  *
  * Decoding deliberately models the *real* behaviour of a SEC decoder fed
  * more errors than it can correct: the syndrome aliases onto some valid
@@ -37,8 +37,8 @@ enum class DecodeStatus
     NoError,       ///< Syndrome clean; data returned as stored.
     Corrected,     ///< A single bit was corrected (possibly a miscorrection
                    ///< if the true error count exceeded the code strength).
-    DetectedOnly,  ///< Error detected but not corrected (invalid syndrome
-                   ///< or SEC-DED double-error signal).
+    DetectedOnly,  ///< Error detected but not corrected (invalid
+                   ///< syndrome).
 };
 
 /** Result of decoding one codeword. */
@@ -128,26 +128,6 @@ class HammingSec
      */
     std::vector<std::uint64_t> columnMask_;
     std::size_t codeWords_;
-};
-
-/**
- * Extended Hamming SEC-DED: HammingSec plus an overall parity bit, so
- * double-bit errors are detected (DetectedOnly) rather than miscorrected.
- * This is the classic (72,64) rank-level ECC.
- */
-class SecDed
-{
-  public:
-    explicit SecDed(std::size_t data_bits);
-
-    std::size_t dataBits() const { return inner_.dataBits(); }
-    std::size_t codeBits() const { return inner_.codeBits() + 1; }
-
-    util::BitVec encode(const util::BitVec &data) const;
-    DecodeResult decode(const util::BitVec &codeword) const;
-
-  private:
-    HammingSec inner_;
 };
 
 } // namespace rowhammer::ecc

@@ -644,10 +644,4 @@ ChipModel::hammerRows(int bank, int victim_row,
     return out;
 }
 
-std::size_t
-ChipModel::weakCellCount(int bank, int row) const
-{
-    return weakCells(bank, row).size();
-}
-
 } // namespace rowhammer::fault

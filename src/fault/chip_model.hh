@@ -208,9 +208,6 @@ class ChipModel
         return spec_.rowRemap == RowRemap::PairedWordline ? 2 : 1;
     }
 
-    /** Number of weak cells sampled in a row (test/instrumentation). */
-    std::size_t weakCellCount(int bank, int row) const;
-
   private:
     /** One weak cell of the simulated array (sampling scratch; cached
      *  rows store the same data in RowCells' SoA layout). */

@@ -5,15 +5,6 @@
 namespace rowhammer::fault
 {
 
-std::array<DataPattern, numDataPatterns>
-allDataPatterns()
-{
-    return {DataPattern::Solid0,     DataPattern::Solid1,
-            DataPattern::ColStripe0, DataPattern::ColStripe1,
-            DataPattern::Checkered0, DataPattern::Checkered1,
-            DataPattern::RowStripe0, DataPattern::RowStripe1};
-}
-
 std::array<DataPattern, 6>
 figure4Patterns()
 {

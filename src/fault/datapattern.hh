@@ -35,9 +35,6 @@ enum class DataPattern
 
 constexpr int numDataPatterns = static_cast<int>(DataPattern::NumPatterns);
 
-/** All patterns, in declaration order. */
-std::array<DataPattern, numDataPatterns> allDataPatterns();
-
 /**
  * The six patterns Figure 4 sweeps (RS0, RS1, CS0, CS1, CH0, CH1); the
  * solid patterns are strictly dominated and the figure omits them.

@@ -1,6 +1,7 @@
 #include "population.hh"
 
 #include <algorithm>
+#include <string>
 
 #include "util/logging.hh"
 #include "util/serialize.hh"
@@ -211,6 +212,10 @@ ChipInstance::deserialize(util::ByteReader &r)
 std::vector<ChipInstance>
 sampleChips(const ModuleGroup &g, std::uint64_t seed, int chips_per_group)
 {
+    if (chips_per_group < 0) {
+        util::fatal("sampleChips: negative chips-per-group count " +
+                    std::to_string(chips_per_group));
+    }
     const ChipSpec spec = configFor(g.typeNode, g.manufacturer);
     if (!combinationExists(g.typeNode, g.manufacturer))
         util::panic("sampleChips: nonexistent chip combination");

@@ -84,7 +84,8 @@ std::vector<ModuleGroup> allModules();
  * above 150k hammers.
  *
  * @param chips_per_group Cap on instances generated per group (the full
- *     population is 1580 chips; benches usually sample).
+ *     population is 1580 chips; benches usually sample); fatal() if
+ *     negative.
  */
 std::vector<ChipInstance> sampleChips(const ModuleGroup &group,
                                       std::uint64_t seed,

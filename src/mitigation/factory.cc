@@ -66,7 +66,7 @@ makeMitigation(Kind kind, double hc_first, const dram::TimingSpec &timing,
       case Kind::TWiCeIdeal:
         return std::make_unique<TWiCe>(hc_first, timing, true);
       case Kind::TrrSampler:
-        return std::make_unique<TrrSampler>(seed);
+        return std::make_unique<TrrSampler>();
       case Kind::Ideal:
         return std::make_unique<IdealRefresh>(hc_first, rows_per_bank);
     }

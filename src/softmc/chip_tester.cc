@@ -31,15 +31,11 @@ testerOrganization(const fault::ChipGeometry &geom)
 
 } // namespace
 
-ChipTester::ChipTester(fault::ChipModel &model, double temperature_c)
+ChipTester::ChipTester(fault::ChipModel &model)
     : model_(model),
       device_(testerOrganization(model.geometry()),
               dram::defaultTiming(model.spec().standard()))
 {
-    if (temperature_c != 50.0) {
-        util::fatal("ChipTester: the fault model is calibrated at the "
-                    "paper's 50C ambient temperature");
-    }
 }
 
 dram::Cycle

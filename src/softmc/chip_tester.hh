@@ -49,12 +49,10 @@ class ChipTester
 {
   public:
     /**
-     * @param model Fault model of the chip under test (not owned).
-     * @param temperature_c Ambient temperature; the paper tests at 50 C.
-     *     Retained for interface fidelity; the fault model is calibrated
-     *     at 50 C and other values are rejected.
+     * @param model Fault model of the chip under test (not owned). The
+     *     model is calibrated at the paper's 50 C ambient temperature.
      */
-    ChipTester(fault::ChipModel &model, double temperature_c = 50.0);
+    explicit ChipTester(fault::ChipModel &model);
 
     dram::Device &device() { return device_; }
     const dram::TimingSpec &timing() const { return device_.timing(); }

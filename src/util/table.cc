@@ -1,8 +1,6 @@
 #include "table.hh"
 
 #include <algorithm>
-#include <cmath>
-#include <cstdio>
 #include <iomanip>
 #include <sstream>
 
@@ -85,25 +83,6 @@ fmtPercent(double ratio, int precision)
     oss << std::fixed << std::setprecision(precision) << ratio * 100.0
         << "%";
     return oss.str();
-}
-
-void
-renderSeries(std::ostream &os, const std::string &name,
-             const std::vector<double> &x, const std::vector<double> &y)
-{
-    if (x.size() != y.size())
-        panic("renderSeries: x/y size mismatch");
-    os << "series: " << name << '\n';
-    for (std::size_t i = 0; i < x.size(); ++i) {
-        os << "  " << std::setw(12) << x[i] << "  " << std::setw(14)
-           << y[i];
-        // Log-scale sparkline bar for quick visual shape checks.
-        double mag = 0.0;
-        if (y[i] > 0.0)
-            mag = std::max(0.0, 12.0 + std::log10(y[i]));
-        os << "  |" << std::string(static_cast<std::size_t>(mag * 4.0), '#')
-           << '\n';
-    }
 }
 
 } // namespace rowhammer::util

@@ -49,13 +49,6 @@ std::string fmtKilo(double value);
 /** Format a ratio as a percentage string, e.g. 0.923 -> "92.3%". */
 std::string fmtPercent(double ratio, int precision = 1);
 
-/**
- * Render an (x, y) series as a two-column listing plus a log-log ASCII
- * sparkline; used for figure-style benches.
- */
-void renderSeries(std::ostream &os, const std::string &name,
-                  const std::vector<double> &x, const std::vector<double> &y);
-
 } // namespace rowhammer::util
 
 #endif // ROWHAMMER_UTIL_TABLE_HH

@@ -25,7 +25,6 @@
 #include "attack/sweep.hh"
 #include "attack/trace_adapter.hh"
 #include "dram/address_functions.hh"
-#include "charlib/hcfirst.hh"
 #include "cpu/core.hh"
 #include "ecc/ondie.hh"
 #include "fault/chip_model.hh"
@@ -311,52 +310,6 @@ TEST(HammerRows, TesterPatternMatchesFaultModel)
     EXPECT_FALSE(result.flips.empty());
     EXPECT_GT(result.coreLoopCycles, 0);
     EXPECT_EQ(result.activations, pattern.activationBudget());
-}
-
-TEST(HammerRows, HcFirstUnderPairShapeMatchesDoubleSided)
-{
-    fault::ChipModel chip(denseSpec(), 9000, 17, smallGeometry());
-    charlib::HcFirstOptions options;
-    options.sampleRows = 4;
-
-    Rng rng_a(77);
-    const auto classic = charlib::findHcFirst(chip, options, rng_a);
-
-    Rng rng_b(77);
-    const std::vector<charlib::RelativeDose> shape{{-1, 1.0}, {+1, 1.0}};
-    const auto shaped =
-        charlib::findHcFirstUnderDoses(chip, shape, options, rng_b);
-    ASSERT_TRUE(classic.has_value());
-    ASSERT_TRUE(shaped.has_value());
-    EXPECT_EQ(*classic, *shaped);
-}
-
-TEST(HammerRows, NSidedShapeHasDoubleSidedThreshold)
-{
-    // Decoys at distance >= 3 do not couple (DDR4): an N-sided shape's
-    // per-aggressor threshold matches the double-sided one.
-    fault::ChipModel chip(denseSpec(), 9000, 17, smallGeometry());
-    charlib::HcFirstOptions options;
-    options.sampleRows = 4;
-
-    Rng rng_a(77);
-    const std::vector<charlib::RelativeDose> pair{{-1, 1.0}, {+1, 1.0}};
-    const auto hc_pair =
-        charlib::findHcFirstUnderDoses(chip, pair, options, rng_a);
-
-    Rng rng_b(77);
-    const std::vector<charlib::RelativeDose> many{
-        {-1, 1.0}, {+1, 1.0}, {-5, 1.0}, {+3, 1.0}, {+5, 1.0},
-        {+7, 1.0}};
-    const auto hc_many =
-        charlib::findHcFirstUnderDoses(chip, many, options, rng_b);
-
-    ASSERT_TRUE(hc_pair.has_value());
-    ASSERT_TRUE(hc_many.has_value());
-    EXPECT_NEAR(static_cast<double>(*hc_pair),
-                static_cast<double>(*hc_many),
-                0.05 * static_cast<double>(*hc_pair) +
-                    static_cast<double>(options.resolution));
 }
 
 // ------------------------------- flip de-duplication regression (fix)
@@ -672,18 +625,9 @@ oracleMechanisms(int rows)
                                kind, hc, timing, rows, 23);
                        }});
     }
-    using Policy = mitigation::TrrSampler::Policy;
-    for (const auto &[name, policy] :
-         {std::pair{"InOrder", Policy::InOrder},
-          std::pair{"Frequency", Policy::Frequency},
-          std::pair{"Random", Policy::Random}}) {
-        const mitigation::TrrSampler::Params params{
-            .samplerSize = 3, .policy = policy, .refreshSlotsPerRef = 2};
-        out.push_back({std::string("TRR-3-") + name, [=] {
-                           return std::make_unique<mitigation::TrrSampler>(
-                               31, params);
-                       }});
-    }
+    out.push_back({"TRR-3", [] {
+                       return std::make_unique<mitigation::TrrSampler>(3);
+                   }});
     return out;
 }
 

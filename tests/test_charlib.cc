@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <vector>
 
 #include "util/logging.hh"
 
@@ -53,6 +55,23 @@ TEST(HcFirst, SampleRowsIncludeWeakest)
         EXPECT_GE(row, 8);
         EXPECT_LT(row, chip.geometry().rows - 8);
     }
+}
+
+TEST(HcFirst, NegativeVictimRowCountRejected)
+{
+    // A negative count used to reach vector::reserve and die with a
+    // message that named nothing.
+    ChipModel chip(denseSpec(), 10000, 1, smallGeometry());
+    try {
+        (void)sampleVictimRows(chip, -5);
+        FAIL() << "negative victim-row count accepted";
+    } catch (const util::FatalError &err) {
+        const std::string what = err.what();
+        EXPECT_NE(what.find("victim-row count -5"), std::string::npos)
+            << what;
+    }
+    EXPECT_EQ(sampleVictimRows(chip, 0),
+              std::vector<int>{chip.weakestRow()});
 }
 
 class HcFirstAccuracy : public ::testing::TestWithParam<double>
@@ -246,6 +265,18 @@ TEST(Analyses, MonotonicityDegradedByOnDieEcc)
     // Observation 14: only about half the cells remain monotonic.
     EXPECT_LT(result.fractionMonotonic, 0.8);
     EXPECT_GT(result.fractionMonotonic, 0.25);
+}
+
+TEST(Analyses, MonotonicityRejectsNonPositiveStep)
+{
+    // A zero step never left [hc_min, hc_max] (unbounded allocation),
+    // and a negative one overflowed the signed hammer count.
+    util::Rng rng(15);
+    ChipModel chip(denseSpec(), 8000, 28, smallGeometry());
+    EXPECT_THROW(monotonicityStudy(chip, 25000, 150000, 0, 1, 4, rng),
+                 util::FatalError);
+    EXPECT_THROW(monotonicityStudy(chip, 25000, 150000, -5, 1, 4, rng),
+                 util::FatalError);
 }
 
 } // namespace

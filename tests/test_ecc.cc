@@ -1,7 +1,7 @@
 /**
  * @file
- * Unit tests for the ECC codes: Hamming SEC, SEC-DED, and the on-die
- * (136,128) model.
+ * Unit tests for the ECC codes: Hamming SEC and the on-die (136,128)
+ * model.
  */
 
 #include <gtest/gtest.h>
@@ -109,45 +109,6 @@ TEST(HammingSec, ExtractDataIgnoresCorrection)
     // Flipping a parity bit leaves extracted raw data untouched.
     cw.flip(0); // Position 1 is a parity bit.
     EXPECT_TRUE(code.extractData(cw) == data);
-}
-
-TEST(SecDed, GeometryIs72_64)
-{
-    SecDed code(64);
-    EXPECT_EQ(code.codeBits(), 72u);
-}
-
-TEST(SecDed, SingleErrorCorrected)
-{
-    Rng rng(5);
-    SecDed code(64);
-    const BitVec data = randomData(64, rng);
-    for (std::size_t pos = 0; pos < code.codeBits(); ++pos) {
-        BitVec cw = code.encode(data);
-        cw.flip(pos);
-        const DecodeResult r = code.decode(cw);
-        EXPECT_EQ(r.status, DecodeStatus::Corrected) << "pos " << pos;
-        EXPECT_TRUE(r.data == data) << "pos " << pos;
-    }
-}
-
-TEST(SecDed, DoubleErrorDetectedNotMiscorrected)
-{
-    Rng rng(6);
-    SecDed code(64);
-    const BitVec data = randomData(64, rng);
-    const BitVec cw = code.encode(data);
-    for (int trial = 0; trial < 100; ++trial) {
-        BitVec corrupted = cw;
-        const auto b1 = rng.uniformInt(0, 71);
-        auto b2 = rng.uniformInt(0, 71);
-        while (b2 == b1)
-            b2 = rng.uniformInt(0, 71);
-        corrupted.flip(b1);
-        corrupted.flip(b2);
-        const DecodeResult r = code.decode(corrupted);
-        EXPECT_EQ(r.status, DecodeStatus::DetectedOnly);
-    }
 }
 
 TEST(OnDieEcc, SingleRawFlipInvisible)

@@ -386,6 +386,36 @@ TEST(ExperimentSweep, ConcurrentRunMixMatchesSerial)
     }
 }
 
+TEST(ExperimentRunner, RunMixPreparesItsMix)
+{
+    // runMix() on an unprepared mix computes its baseline through
+    // prepare(): the same outcome, and the baseline runs checkpointed.
+    ExperimentRunner prepared(smallConfig(2));
+    prepared.prepare({1});
+    const auto reference =
+        prepared.runMix(1, mitigation::Kind::PARA, 4800.0);
+    ASSERT_TRUE(reference.has_value());
+
+    TempDir dir;
+    auto config = smallConfig(2);
+    config.checkpointPath = dir.path();
+    ExperimentRunner runner(config);
+    const auto outcome = runner.runMix(1, mitigation::Kind::PARA, 4800.0);
+    ASSERT_TRUE(outcome.has_value());
+    EXPECT_EQ(outcome->weightedSpeedup, reference->weightedSpeedup);
+    EXPECT_EQ(outcome->normalizedPerformance,
+              reference->normalizedPerformance);
+    EXPECT_EQ(outcome->bandwidthOverheadPercent,
+              reference->bandwidthOverheadPercent);
+    EXPECT_EQ(outcome->mpki, reference->mpki);
+    EXPECT_EQ(outcome->droppedWritebacks, reference->droppedWritebacks);
+
+    // One record per standalone run plus the shared baseline run.
+    ASSERT_NE(runner.store(), nullptr);
+    EXPECT_EQ(runner.store()->size(),
+              static_cast<std::size_t>(config.system.cores) + 1);
+}
+
 TEST(Checkpoint, ResumedSweepIsByteIdentical)
 {
     const std::vector<double> hc_firsts{4800, 512};

@@ -9,6 +9,7 @@
 #include "util/logging.hh"
 
 #include <set>
+#include <string>
 
 #include "fault/chip_model.hh"
 #include "fault/chipspec.hh"
@@ -301,6 +302,22 @@ TEST(Population, SampleChipsPinsGroupMinimum)
             EXPECT_GE(chip.hcFirst, 17500.0);
         }
     }
+}
+
+TEST(Population, NegativeChipCountRejected)
+{
+    // A negative count used to reach vector::reserve and die with a
+    // message that named nothing.
+    const auto groups = table7Ddr4Modules();
+    try {
+        (void)sampleChips(groups.front(), 77, -1);
+        FAIL() << "negative chips-per-group count accepted";
+    } catch (const rowhammer::util::FatalError &err) {
+        const std::string what = err.what();
+        EXPECT_NE(what.find("chips-per-group count -1"), std::string::npos)
+            << what;
+    }
+    EXPECT_TRUE(sampleChips(groups.front(), 77, 0).empty());
 }
 
 TEST(Population, NotRowHammerableGroupsProduceNoVulnerableChips)

@@ -256,7 +256,7 @@ TEST(MrLoc, QuietTrafficRarelyRefreshes)
 
 TEST(TrrSampler, SamplerCapacityBounded)
 {
-    TrrSampler trr(1, TrrSampler::Params{.samplerSize = 4});
+    TrrSampler trr(4);
     std::vector<VictimRef> out;
     for (int i = 0; i < 1000; ++i)
         trr.onActivate(0, i % 100, i, out);
@@ -266,8 +266,7 @@ TEST(TrrSampler, SamplerCapacityBounded)
 
 TEST(TrrSampler, ServicesNeighborsAndClearsOnRefresh)
 {
-    TrrSampler trr(1, TrrSampler::Params{.samplerSize = 2,
-                                         .refreshSlotsPerRef = 2});
+    TrrSampler trr(2);
     std::vector<VictimRef> out;
     trr.onActivate(0, 100, 0, out);
     trr.onActivate(0, 200, 1, out);
@@ -284,8 +283,7 @@ TEST(TrrSampler, InOrderPolicyIsBlindOnceSaturated)
 {
     // The adversarial core of TRRespass: decoys claim every slot, the
     // rows activated afterwards are never sampled.
-    TrrSampler trr(1, TrrSampler::Params{.samplerSize = 2,
-                                         .refreshSlotsPerRef = 2});
+    TrrSampler trr(2);
     std::vector<VictimRef> out;
     for (int round = 0; round < 50; ++round) {
         for (int decoy : {300, 400})
@@ -301,110 +299,47 @@ TEST(TrrSampler, InOrderPolicyIsBlindOnceSaturated)
     }
 }
 
-TEST(TrrSampler, FrequencyCountersCancelUnderUniformManySided)
-{
-    // Misra-Gries counters: N equally-hot rows above capacity cancel
-    // each other, so the table churns instead of locking onto anyone.
-    TrrSampler trr(1,
-                   TrrSampler::Params{
-                       .samplerSize = 4,
-                       .policy = TrrSampler::Policy::Frequency,
-                       .refreshSlotsPerRef = 4});
-    std::vector<VictimRef> out;
-    for (int i = 0; i < 8000; ++i)
-        trr.onActivate(0, 10 + 2 * (i % 8), i, out);
-    EXPECT_LE(trr.sampledRows(), 4u);
-
-    // The same counters lock on when the aggressors fit the table.
-    TrrSampler fits(1,
-                    TrrSampler::Params{
-                        .samplerSize = 4,
-                        .policy = TrrSampler::Policy::Frequency,
-                        .refreshSlotsPerRef = 4});
-    for (int i = 0; i < 8000; ++i)
-        fits.onActivate(0, 10 + 2 * (i % 2), i, out);
-    out.clear();
-    fits.onRefresh(0, 0, out);
-    ASSERT_EQ(out.size(), 4u); // Both aggressors serviced.
-}
-
-TEST(TrrSampler, RandomPolicyDeterministicPerSeed)
-{
-    const TrrSampler::Params params{
-        .samplerSize = 2, .policy = TrrSampler::Policy::Random,
-        .refreshSlotsPerRef = 2};
-    TrrSampler a(99, params);
-    TrrSampler b(99, params);
-    std::vector<VictimRef> out_a;
-    std::vector<VictimRef> out_b;
-    for (int i = 0; i < 5000; ++i) {
-        a.onActivate(0, i % 16, i, out_a);
-        b.onActivate(0, i % 16, i, out_b);
-        if (i % 170 == 0) {
-            a.onRefresh(static_cast<std::uint64_t>(i), 0, out_a);
-            b.onRefresh(static_cast<std::uint64_t>(i), 0, out_b);
-        }
-    }
-    ASSERT_EQ(out_a.size(), out_b.size());
-    for (std::size_t i = 0; i < out_a.size(); ++i) {
-        EXPECT_EQ(out_a[i].row, out_b[i].row);
-        EXPECT_EQ(out_a[i].flatBank, out_b[i].flatBank);
-    }
-}
-
 // --------------------------- onActivateRun: a run equals its ACTs
 
 TEST(TrrSampler, ActivateRunMatchesSingleActivations)
 {
     // Seeded random bursts over more distinct rows than sampler slots,
-    // across several REF intervals: the burst-fed sampler must hold
-    // the same rows and service the same victims as one fed ACT by
-    // ACT.
-    for (const TrrSampler::Policy policy :
-         {TrrSampler::Policy::InOrder, TrrSampler::Policy::Frequency,
-          TrrSampler::Policy::Random}) {
-        const TrrSampler::Params params{
-            .samplerSize = 4, .policy = policy, .refreshSlotsPerRef = 3};
-        TrrSampler runs(19, params);
-        TrrSampler single(19, params);
-        rowhammer::util::Rng rng(5 + static_cast<std::uint64_t>(policy));
-        std::vector<VictimRef> run_out;
-        std::vector<VictimRef> single_out;
-        dram::Cycle now = 0;
-        std::size_t serviced = 0;
-        for (std::uint64_t ref = 0; ref < 12; ++ref) {
-            for (int burst = 0; burst < 24; ++burst) {
-                const int row =
-                    100 + 2 * static_cast<int>(rng.uniformInt(0, 7));
-                const auto count =
-                    static_cast<std::int64_t>(rng.uniformInt(1, 30));
-                for (std::int64_t done = 0; done < count;) {
-                    const std::int64_t n = runs.onActivateRun(
-                        0, row, count - done, now + done, run_out);
-                    ASSERT_GE(n, 1);
-                    ASSERT_LE(n, count - done);
-                    done += n;
-                }
-                for (std::int64_t i = 0; i < count; ++i)
-                    single.onActivate(0, row, now + i, single_out);
-                now += count;
-                // TRR refreshes only under cover of REF.
-                EXPECT_TRUE(run_out.empty());
-                EXPECT_EQ(runs.sampledRows(), single.sampledRows());
-            }
-            runs.onRefresh(ref, 0, run_out);
-            single.onRefresh(ref, 0, single_out);
-            ASSERT_EQ(run_out.size(), single_out.size());
-            serviced += run_out.size();
-            for (std::size_t i = 0; i < run_out.size(); ++i) {
-                EXPECT_EQ(run_out[i].flatBank, single_out[i].flatBank);
-                EXPECT_EQ(run_out[i].row, single_out[i].row);
-            }
-            run_out.clear();
-            single_out.clear();
+    // across several REF intervals: the burst-fed sampler must consume
+    // every run whole, hold the same rows and service the same victims
+    // as one fed ACT by ACT.
+    TrrSampler runs(4);
+    TrrSampler single(4);
+    rowhammer::util::Rng rng(5);
+    std::vector<VictimRef> run_out;
+    std::vector<VictimRef> single_out;
+    dram::Cycle now = 0;
+    std::size_t serviced = 0;
+    for (std::uint64_t ref = 0; ref < 12; ++ref) {
+        for (int burst = 0; burst < 24; ++burst) {
+            const int row = 100 + 2 * static_cast<int>(rng.uniformInt(0, 7));
+            const auto count =
+                static_cast<std::int64_t>(rng.uniformInt(1, 30));
+            EXPECT_EQ(runs.onActivateRun(0, row, count, now, run_out),
+                      count);
+            for (std::int64_t i = 0; i < count; ++i)
+                single.onActivate(0, row, now + i, single_out);
+            now += count;
+            // TRR refreshes only under cover of REF.
+            EXPECT_TRUE(run_out.empty());
+            EXPECT_EQ(runs.sampledRows(), single.sampledRows());
         }
-        EXPECT_GT(serviced, 0u);
+        runs.onRefresh(ref, 0, run_out);
+        single.onRefresh(ref, 0, single_out);
+        ASSERT_EQ(run_out.size(), single_out.size());
+        serviced += run_out.size();
+        for (std::size_t i = 0; i < run_out.size(); ++i) {
+            EXPECT_EQ(run_out[i].flatBank, single_out[i].flatBank);
+            EXPECT_EQ(run_out[i].row, single_out[i].row);
+        }
+        run_out.clear();
+        single_out.clear();
     }
+    EXPECT_GT(serviced, 0u);
 }
 
 /** Test double: appends one victim on its k-th activation. */
@@ -474,9 +409,7 @@ trrSessionFlips(int n_sided, int sampler_size)
     const attack::AccessPattern pattern =
         builder.nSided(chip.weakestBank(), chip.weakestRow(), n_sided);
 
-    TrrSampler trr(3, TrrSampler::Params{
-                          .samplerSize = sampler_size,
-                          .refreshSlotsPerRef = sampler_size});
+    TrrSampler trr(sampler_size);
     attack::SessionConfig session;
     session.actsPerRefInterval = 240; // Multiple of every tested N.
     rowhammer::util::Rng rng(41);

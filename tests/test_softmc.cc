@@ -39,13 +39,6 @@ denseSpec(fault::TypeNode tn = fault::TypeNode::DDR4New,
     return s;
 }
 
-TEST(ChipTester, RejectsWrongTemperature)
-{
-    ChipModel chip(denseSpec(), 10000, 1, smallGeometry());
-    EXPECT_THROW(softmc::ChipTester(chip, 85.0), util::FatalError);
-    EXPECT_NO_THROW(softmc::ChipTester(chip, 50.0));
-}
-
 TEST(ChipTester, HammerRequiresRefreshDisabled)
 {
     ChipModel chip(denseSpec(), 10000, 2, smallGeometry());
