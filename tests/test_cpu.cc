@@ -184,6 +184,31 @@ TEST(Core, TickReportsProgress)
     EXPECT_TRUE(core.tick()); // The oldest read retires.
 }
 
+TEST(Core, OutOfOrderCompletionRetiresInOrder)
+{
+    // The memory system takes two reads, then refuses; the younger
+    // read's data returns first.
+    ScriptedTrace trace(TraceEntry{0, 64, false});
+    std::vector<std::function<void()>> pending;
+    Core core(trace,
+              [&](std::uint64_t, bool, std::function<void()> done) {
+                  if (pending.size() == 2)
+                      return false;
+                  pending.push_back(std::move(done));
+                  return true;
+              });
+    core.tick();
+    ASSERT_EQ(core.stats().memReads, 2);
+
+    pending[1]();
+    core.tick();
+    EXPECT_EQ(core.stats().retired, 0); // The older read still blocks.
+    pending[0]();
+    core.tick();
+    EXPECT_EQ(core.stats().retired, 2);
+    EXPECT_EQ(core.windowOccupancy(), 0u);
+}
+
 TEST(Core, IdleCyclesMatchBlockedTicks)
 {
     // Two identical cores behind a memory system that rejects every

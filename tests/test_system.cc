@@ -530,6 +530,61 @@ TEST(System, SerialEpochsMatchLockstepSaturated)
     expect_agree(small_window, Kind::None, 0.0, 1000, "8-entry window");
 }
 
+TEST(System, PinnedCountersTwoChannelPara)
+{
+    // Absolute pins for both engines. The SerialEpochsMatchLockstep
+    // tests compare the engines only to each other, so a slip in how
+    // reads complete that both engines share would still pass them.
+    for (const bool lockstep : {false, true}) {
+        SCOPED_TRACE("lockstep=" + std::to_string(lockstep));
+        core::SystemConfig config;
+        config.cores = 4;
+        config.organization.rows = 512;
+        config.organization.channels = 2;
+        config.llcBytes = 256 * 1024;
+        config.lockstep = lockstep;
+        const auto mixes = workload::mixCatalogue(4, 1024 * 1024);
+        core::System system(config, mixes[47].apps, 3);
+        const auto para0 = mitigation::makeMitigation(
+            mitigation::Kind::PARA, 2000.0, config.timing,
+            config.organization.rows, 5);
+        const auto para1 = mitigation::makeMitigation(
+            mitigation::Kind::PARA, 2000.0, config.timing,
+            config.organization.rows, 6);
+        system.setMitigations({para0.get(), para1.get()});
+        const core::SystemResult result = system.run(6000, 750);
+
+        const std::int64_t retired[] = {6015, 6272, 6589, 6838};
+        const std::int64_t reads[] = {1308, 1257, 1244, 837};
+        const std::int64_t writes[] = {183, 323, 400, 522};
+        ASSERT_EQ(result.coreStats.size(), 4u);
+        for (std::size_t i = 0; i < 4; ++i) {
+            EXPECT_EQ(result.coreStats[i].cycles, 91663);
+            EXPECT_EQ(result.coreStats[i].retired, retired[i]);
+            EXPECT_EQ(result.coreStats[i].memReads, reads[i]);
+            EXPECT_EQ(result.coreStats[i].memWrites, writes[i]);
+        }
+        EXPECT_EQ(result.llcStats.accesses, 6074);
+        EXPECT_EQ(result.llcStats.hits, 669);
+        EXPECT_EQ(result.llcStats.misses, 5405);
+        EXPECT_EQ(result.llcStats.writebacks, 513);
+        EXPECT_EQ(result.llcStats.writeMisses, 1246);
+        EXPECT_EQ(result.memStats.cycles, 27510);
+        EXPECT_EQ(result.memStats.readsServed, 4155);
+        EXPECT_EQ(result.memStats.writesServed, 1766);
+        EXPECT_EQ(result.memStats.demandActs, 4827);
+        EXPECT_EQ(result.memStats.autoRefreshes, 6);
+        EXPECT_EQ(result.memStats.mitigationRefreshes, 218);
+        // Exact: the bits, not a tolerance.
+        EXPECT_EQ(result.memStats.mitigationBusyCycles, 11990.0);
+        EXPECT_EQ(result.memStats.readQueueFullEvents, 0);
+        EXPECT_EQ(result.memStats.droppedWritebacks, 0);
+        EXPECT_EQ(result.memStats.ranks, 1);
+        EXPECT_EQ(result.memStats.channels, 2);
+        EXPECT_EQ(result.cpuCycles, 91663);
+    }
+}
+
 TEST(Experiment, BaselineNormalizedToOne)
 {
     ExperimentConfig config;
