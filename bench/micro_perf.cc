@@ -68,6 +68,7 @@ BM_ControllerTick(benchmark::State &state)
             (void)ctrl.enqueue(std::move(r));
         }
         ctrl.tick();
+        ctrl.drainCompleted([](int, std::uint32_t) {});
     }
     state.SetItemsProcessed(state.iterations());
 }
@@ -89,6 +90,7 @@ BM_ControllerRowHit(benchmark::State &state)
             (void)ctrl.enqueue(std::move(r));
         }
         ctrl.tick();
+        ctrl.drainCompleted([](int, std::uint32_t) {});
     }
     state.SetItemsProcessed(state.iterations());
 }
@@ -109,7 +111,7 @@ BM_ExperimentStep(benchmark::State &state)
     auto para = mitigation::makeMitigation(
         mitigation::Kind::PARA, 4800.0, config.timing,
         config.organization.rows, 7);
-    system.setMitigation(para.get());
+    system.setMitigations({para.get()});
     for (auto _ : state)
         system.step();
     state.SetItemsProcessed(state.iterations());
@@ -168,7 +170,7 @@ BM_SystemRunSaturated(benchmark::State &state)
         const auto mechanism = mitigation::makeMitigation(
             mitigation::Kind::IncreasedRefresh, 69200.0, config.timing,
             config.organization.rows, 7);
-        system.setMitigation(mechanism.get());
+        system.setMitigations({mechanism.get()});
         benchmark::DoNotOptimize(system.run(300));
     }
     state.SetItemsProcessed(state.iterations());

@@ -56,16 +56,17 @@ runAttack(mitigation::Mitigation *mechanism, fault::ChipModel &chip,
     for (std::int64_t i = 0; i < 2 * hammers; ++i) {
         // Serialized access: wait for the read to complete before
         // issuing the next one, so every access misses the row buffer.
-        bool done = false;
         sim::Request r;
         r.addr = mapper.encode(toggle ? a1 : a2);
         toggle = !toggle;
         r.type = sim::Request::Type::Read;
-        r.onComplete = [&] { done = true; };
         while (!ctrl.enqueue(r))
             ctrl.tick();
-        while (!done)
+        bool done = false;
+        while (!done) {
             ctrl.tick();
+            ctrl.drainCompleted([&](int, std::uint32_t) { done = true; });
+        }
 
         ++acts_since_refresh;
         const std::int64_t refreshes =

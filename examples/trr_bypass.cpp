@@ -93,14 +93,12 @@ runAttack(fault::ChipModel &chip, const attack::AccessPattern &pattern,
         }
     });
     cpu::Core core(
-        trace,
-        [&](std::uint64_t addr, bool write,
-            std::function<void()> done) {
+        trace, [&](std::uint64_t addr, bool write, std::uint32_t slot) {
             sim::Request request;
             request.addr = addr;
             request.type = write ? sim::Request::Type::Write
                                  : sim::Request::Type::Read;
-            request.onComplete = std::move(done);
+            request.slot = slot;
             return ctrl.enqueue(request);
         });
 
@@ -108,6 +106,8 @@ runAttack(fault::ChipModel &chip, const attack::AccessPattern &pattern,
     while (aggressor_acts < kTargetActs && ctrl.now() < cycle_cap) {
         core.tick();
         ctrl.tick();
+        ctrl.drainCompleted(
+            [&](int, std::uint32_t slot) { core.complete(slot); });
     }
 
     std::cout << "  pattern " << pattern.label << ": "

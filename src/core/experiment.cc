@@ -127,14 +127,6 @@ ExperimentRunner::sharedBaselineIpcs(int mix_index) const
     System system(config_.system, mix.apps,
                   config_.seed ^
                       (static_cast<std::uint64_t>(mix_index) << 16));
-    // NoMitigation is stateless, so one instance per channel costs
-    // nothing and keeps the per-channel attachment contract uniform.
-    std::vector<mitigation::NoMitigation> none(
-        static_cast<std::size_t>(config_.system.organization.channels));
-    std::vector<mitigation::Mitigation *> attached;
-    for (auto &mech : none)
-        attached.push_back(&mech);
-    system.setMitigations(attached);
     const SystemResult result = system.run(config_.instructionsPerCore,
                                            config_.warmupInstructions);
     std::vector<double> ipcs;

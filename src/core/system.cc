@@ -49,23 +49,11 @@ System::System(SystemConfig config,
         cores_.push_back(std::make_unique<cpu::Core>(
             *traces_.back(),
             [this, core_id](std::uint64_t addr, bool write,
-                            std::function<void()> done) {
-                return sendFromCore(core_id, addr, write,
-                                    std::move(done));
+                            std::uint32_t slot) {
+                return sendFromCore(core_id, addr, write, slot);
             },
             config_.issueWidth, config_.windowSize));
     }
-}
-
-void
-System::setMitigation(mitigation::Mitigation *mechanism)
-{
-    if (channels() != 1) {
-        util::fatal("System::setMitigation: mechanisms keep per-bank "
-                    "state, so a multi-channel system needs one per "
-                    "channel (setMitigations)");
-    }
-    controllers_.front()->setMitigation(mechanism);
 }
 
 void
@@ -91,7 +79,7 @@ System::aggregateMemStats() const
 
 bool
 System::sendFromCore(int core_id, std::uint64_t addr, bool write,
-                     std::function<void()> done)
+                     std::uint32_t slot)
 {
     // Wrap addresses into the memory system's capacity.
     const auto capacity = static_cast<std::uint64_t>(
@@ -104,11 +92,9 @@ System::sendFromCore(int core_id, std::uint64_t addr, bool write,
     // controller entirely spares the common case a channel sync.
     if (llc_.contains(addr)) {
         (void)llc_.access(addr, write); // Guaranteed hit.
-        if (done) {
+        if (!write) {
             hitQueue_.push_back(PendingHit{
-                cpuCycle_ + config_.llcHitLatencyCpu, std::move(done)});
-            std::push_heap(hitQueue_.begin(), hitQueue_.end(),
-                           std::greater<>{});
+                cpuCycle_ + config_.llcHitLatencyCpu, core_id, slot});
         }
         return true;
     }
@@ -138,30 +124,23 @@ System::sendFromCore(int core_id, std::uint64_t addr, bool write,
     // is a logic error, never back-pressure.
     sim::Request request;
     request.addr = addr;
-    request.coreId = core_id;
     if (write) {
         request.type = sim::Request::Type::Write;
-        if (!controller.enqueue(std::move(request))) {
+        if (!controller.enqueue(request)) {
             util::fatal("System::sendFromCore: demand write rejected "
                         "despite free write-queue slot");
         }
-        if (done)
-            done();
     } else {
         request.type = sim::Request::Type::Read;
+        request.coreId = core_id;
+        request.slot = slot;
         ++mshrInUse_[static_cast<std::size_t>(core_id)];
-        auto &mshr = mshrInUse_[static_cast<std::size_t>(core_id)];
-        request.onComplete = [&mshr, done = std::move(done)] {
-            --mshr;
-            if (done)
-                done();
-        };
-        if (!controller.enqueue(std::move(request))) {
+        if (!controller.enqueue(request)) {
             util::fatal("System::sendFromCore: demand read rejected "
                         "despite free read-queue slot");
         }
-        // A queued read lowers the earliest cycle this channel can call
-        // back into the CPU; the running epoch must not outrun it.
+        // A queued read lowers the earliest cycle this channel can
+        // return data to the CPU; the running epoch must not outrun it.
         epochHorizon_ =
             std::min(epochHorizon_, controller.cpuInteractionBound());
     }
@@ -174,11 +153,10 @@ System::sendFromCore(int core_id, std::uint64_t addr, bool write,
         sim::Request wb;
         wb.addr = *access.writeback;
         wb.type = sim::Request::Type::Write;
-        wb.coreId = core_id;
         auto &victim_controller = *controllers_[static_cast<std::size_t>(
             mapper_.decodeChannel(wb.addr))];
         victim_controller.advanceTo(chanSyncTarget_);
-        if (!victim_controller.enqueue(std::move(wb)))
+        if (!victim_controller.enqueue(wb))
             victim_controller.notePostedWriteDrop();
     }
     return true;
@@ -190,11 +168,9 @@ System::cpuTick()
     ++cpuCycle_;
     bool progress = false;
     while (!hitQueue_.empty() && hitQueue_.front().at <= cpuCycle_) {
-        std::pop_heap(hitQueue_.begin(), hitQueue_.end(),
-                      std::greater<>{});
-        auto hit = std::move(hitQueue_.back());
-        hitQueue_.pop_back();
-        hit.done();
+        const PendingHit &hit = hitQueue_.front();
+        cores_[static_cast<std::size_t>(hit.coreId)]->complete(hit.slot);
+        hitQueue_.pop_front();
         progress = true;
     }
     for (auto &c : cores_)
@@ -235,8 +211,13 @@ System::deviceNow() const
 void
 System::step()
 {
-    for (auto &controller : controllers_)
+    for (auto &controller : controllers_) {
         controller->tick();
+        controller->drainCompleted([this](int core, std::uint32_t slot) {
+            --mshrInUse_[static_cast<std::size_t>(core)];
+            cores_[static_cast<std::size_t>(core)]->complete(slot);
+        });
+    }
     chanSyncTarget_ = controllers_.front()->now();
     for (int ticks = takeCpuTicks(); ticks > 0; --ticks)
         cpuTick();
@@ -251,23 +232,21 @@ System::advanceEpoch(const std::function<bool()> &stop)
         bound = std::min(bound, controller->cpuInteractionBound());
 
     if (bound <= start) {
-        // A read completion can reach the CPU this very cycle: run one
-        // reference lockstep cycle. This is the only place completion
-        // callbacks fire, and step() fires them in canonical channel
-        // order.
+        // A read's data can return this very cycle: run one reference
+        // lockstep cycle, which drains the channels in canonical order.
         step();
         return;
     }
 
-    // No channel can call back into the CPU before `bound`: run the
+    // No channel can return a read to the CPU before `bound`: run the
     // CPU side ahead and let each channel catch up only when the CPU
     // touches it (sendFromCore syncs it to chanSyncTarget_). During CPU
     // device-step t that target is t + 1, exactly where the lockstep
     // engine would have the channel when step t's requests land.
     epochHorizon_ = std::min(bound, start + kEpochCapCycles);
     dram::Cycle t = start;
-    // Set by a CPU tick that made no progress. No read completion fires
-    // inside an epoch, so until an LLC hit completes or a rejected send
+    // Set by a CPU tick that made no progress. No read from memory
+    // completes inside an epoch, so until an LLC hit completes or a rejected send
     // could be accepted (its channel's queue space grew), every later
     // tick would repeat it exactly: each device step then only advances
     // the channels to where a send would sync them and counts the idle
@@ -299,9 +278,9 @@ System::advanceEpoch(const std::function<bool()> &stop)
         ++t;
     } while (!(stop && stop()) && t < epochHorizon_);
     // Close the epoch at t: every channel catches up to the CPU. No
-    // completion can fire during the catch-up — deadlines sit at or
+    // read's data returns during the catch-up — deadlines sit at or
     // beyond the horizon, and advanceTo(t) only executes cycles below
-    // t — so the next epoch (or serial step) delivers them.
+    // t — so the next serial step delivers them.
     for (auto &controller : controllers_)
         controller->advanceTo(t);
     chanSyncTarget_ = t;

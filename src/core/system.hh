@@ -15,7 +15,7 @@
  * lockstep engine (step(): every controller ticks one device cycle,
  * then the CPU side runs) and the epoch engine (advanceEpoch(): the
  * CPU side runs ahead up to the next cycle at which any controller
- * can call back into it, and each channel catches up only at
+ * can return a read to it, and each channel catches up only at
  * request-enqueue points and at the epoch's end; while every core is
  * stalled the engine skips the CPU ticks and only advances the
  * channels). See docs/ARCHITECTURE.md, "Threading model", for the
@@ -27,6 +27,7 @@
 #ifndef ROWHAMMER_CORE_SYSTEM_HH
 #define ROWHAMMER_CORE_SYSTEM_HH
 
+#include <deque>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -129,16 +130,9 @@ class System
            std::uint64_t seed);
 
     /**
-     * Attach a mitigation mechanism (not owned; may be nullptr).
-     * Single-channel systems only: mechanisms keep per-flat-bank state,
-     * so channels must not share one instance — multi-channel systems
-     * use setMitigations() with one mechanism per channel.
-     */
-    void setMitigation(mitigation::Mitigation *mechanism);
-
-    /**
      * Attach one mitigation mechanism per channel (size must equal
-     * organization.channels; entries not owned, may be nullptr).
+     * organization.channels; entries not owned, may be nullptr, and
+     * never shared: mechanisms keep per-flat-bank state).
      */
     void setMitigations(
         const std::vector<mitigation::Mitigation *> &mechanisms);
@@ -163,23 +157,23 @@ class System
     /**
      * Reference lockstep engine: advance every controller one device
      * clock cycle plus the corresponding CPU cycles (the 4 GHz :
-     * device-clock ratio is accumulated fractionally). Exposed for
-     * microbenchmarks and custom drivers.
+     * device-clock ratio is accumulated fractionally); each channel's
+     * returned reads reach their cores right after its cycle. Exposed
+     * for microbenchmarks and custom drivers.
      */
     void step();
 
     /**
      * Epoch engine: advance the whole system by one epoch — up to the
-     * earliest cycle at which any controller can fire a read
-     * completion (or the epoch cap). Falls back to a single step()
-     * whenever a completion is due, which is therefore the only place
-     * completion callbacks fire, in canonical channel order; results
-     * are bit-identical to the lockstep engine. `stop` is polled once
-     * per device step (like run()'s retirement check in lockstep mode)
-     * and ends the epoch early. Once a CPU tick makes no progress, the
-     * following device steps only advance the channels and count idle
-     * CPU cycles, until a channel's queue space changes or an LLC hit
-     * is due.
+     * earliest cycle at which any controller can return a read's data
+     * (or the epoch cap). Falls back to a single step() whenever one
+     * is due; only step() delivers reads to the cores, in canonical
+     * channel order, and results are bit-identical to the lockstep
+     * engine. `stop` is polled once per device step (like run()'s
+     * retirement check in lockstep mode) and ends the epoch early.
+     * Once a CPU tick makes no progress, the following device steps
+     * only advance the channels and count idle CPU cycles, until a
+     * channel's queue space changes or an LLC hit is due.
      */
     void advanceEpoch(const std::function<bool()> &stop = {});
 
@@ -187,16 +181,12 @@ class System
     struct PendingHit
     {
         std::int64_t at; ///< CPU cycle of completion.
-        std::function<void()> done;
-
-        bool operator>(const PendingHit &other) const
-        {
-            return at > other.at;
-        }
+        int coreId;
+        std::uint32_t slot;
     };
 
     bool sendFromCore(int core_id, std::uint64_t addr, bool write,
-                      std::function<void()> done);
+                      std::uint32_t slot);
     /** One CPU cycle; false iff no core progressed (Core::tick) and no
      *  LLC hit completed. */
     bool cpuTick();
@@ -220,8 +210,11 @@ class System
     cpu::Cache llc_;
     std::vector<std::unique_ptr<workload::SyntheticTrace>> traces_;
     std::vector<std::unique_ptr<cpu::Core>> cores_;
+    /** Reads each core has in flight to memory (its MSHRs). */
     std::vector<int> mshrInUse_;
-    std::vector<PendingHit> hitQueue_;
+    /** LLC read hits in completion order: every hit takes
+     *  llcHitLatencyCpu and cpuCycle_ never decreases. */
+    std::deque<PendingHit> hitQueue_;
     std::int64_t cpuCycle_ = 0;
     /** CPU-to-device clock ratio, e.g. 4 GHz vs 1.2 GHz = 10:3. */
     double cpuRatio_ = 1.0;

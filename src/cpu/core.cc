@@ -41,23 +41,18 @@ Core::tick()
         if (static_cast<int>(windowCount_) >= windowSize_)
             break;
         if (pendingBubbles_ > 0) {
-            windowPush().done = true;
+            complete(windowPush());
             --pendingBubbles_;
         } else if (entry_.write) {
             // Posted write: does not block retirement, but must be
             // accepted by the memory system.
-            if (!send_(entry_.addr, true, nullptr))
+            if (!send_(entry_.addr, true, 0))
                 break;
-            windowPush().done = true;
+            complete(windowPush());
             ++stats_.memWrites;
             haveEntry_ = false;
         } else {
-            // Ring slots never move, so capturing the slot address is
-            // safe: the entry cannot retire (and thus be reused) until
-            // done.
-            WindowEntry *slot = &windowPush();
-            if (!send_(entry_.addr, false,
-                       [slot] { slot->done = true; })) {
+            if (!send_(entry_.addr, false, windowPush())) {
                 --windowCount_; // Undo the push; retry on a later tick.
                 break;
             }

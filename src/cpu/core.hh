@@ -61,15 +61,16 @@ struct CoreStats
 
 /**
  * Trace-driven core. The memory system is abstracted as a send function:
- * send(addr, write, complete_callback) returns false when the memory
- * system cannot accept the request this cycle (back-pressure; the core
- * retries on a later tick).
+ * send(addr, write, slot) returns false when the memory system cannot
+ * accept the request this cycle (back-pressure; the core retries on a
+ * later tick). A read's data returns as complete(slot); a posted
+ * write's slot means nothing.
  */
 class Core
 {
   public:
-    using SendFn =
-        std::function<bool(std::uint64_t, bool, std::function<void()>)>;
+    using SendFn = std::function<bool(std::uint64_t addr, bool write,
+                                      std::uint32_t slot)>;
 
     /**
      * @param trace Instruction trace (not owned; must outlive the core).
@@ -84,10 +85,13 @@ class Core
      * Advance one CPU clock cycle. Returns false when the tick changed
      * nothing but stats().cycles: nothing retired, nothing entered the
      * window, no trace entry was fetched and no send was accepted. Such
-     * a core repeats the same tick until a completion callback fires or
+     * a core repeats the same tick until one of its reads completes or
      * the send function's answer changes.
      */
     bool tick();
+
+    /** The read sent with `slot` has its data and may retire. */
+    void complete(std::uint32_t slot) { window_[slot].done = true; }
 
     /** The effect of `n` ticks that return false (see tick()). */
     void idleCycles(std::int64_t n) { stats_.cycles += n; }
@@ -109,19 +113,20 @@ class Core
     int windowSize_;
 
     /**
-     * In-order instruction window as a fixed ring buffer: slots never
-     * move, so completion callbacks can safely capture a slot pointer
-     * for the lifetime of the entry (it cannot retire until done).
+     * In-order instruction window as a fixed ring buffer: entries never
+     * move, so a read's ring index names it until it completes (it
+     * cannot retire, and its slot cannot be reused, before that).
      */
     std::vector<WindowEntry> window_;
     std::size_t windowHead_ = 0; ///< Index of the oldest entry.
     std::size_t windowCount_ = 0;
 
-    WindowEntry &windowPush()
+    /** Append a not-yet-done entry; returns its slot. */
+    std::uint32_t windowPush()
     {
-        WindowEntry &slot =
-            window_[(windowHead_ + windowCount_++) % window_.size()];
-        slot.done = false;
+        const auto slot = static_cast<std::uint32_t>(
+            (windowHead_ + windowCount_++) % window_.size());
+        window_[slot].done = false;
         return slot;
     }
 

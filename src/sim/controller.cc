@@ -1,27 +1,13 @@
 #include "controller.hh"
 
 #include <algorithm>
+#include <functional>
 #include <limits>
 
 #include "util/logging.hh"
 
 namespace rowhammer::sim
 {
-
-namespace
-{
-
-struct CompletionLater
-{
-    bool
-    operator()(const std::pair<dram::Cycle, std::function<void()>> &a,
-               const std::pair<dram::Cycle, std::function<void()>> &b) const
-    {
-        return a.first > b.first;
-    }
-};
-
-} // namespace
 
 Controller::Controller(dram::Organization org, dram::TimingSpec timing)
     : Controller(org, timing, Config{})
@@ -77,9 +63,9 @@ Controller::cpuInteractionBound() const
 {
     dram::Cycle bound = std::numeric_limits<dram::Cycle>::max();
     if (!completions_.empty())
-        bound = std::min(bound, completions_.front().first);
+        bound = std::min(bound, completions_.front().at);
     // Any read still queued can complete no earlier than a RD issued
-    // this very cycle; writes and victim refreshes never call back.
+    // this very cycle; writes and victim refreshes return nothing.
     if (!readQueue_.empty())
         bound = std::min(bound, device_.readDataAt(now_));
     return bound;
@@ -89,7 +75,6 @@ bool
 Controller::enqueue(Request request)
 {
     request.decoded = mapper_.decode(request.addr);
-    request.arrival = now_;
     protectedKey_ = -1; // The queues are the mask's input.
 
     if (request.type == Request::Type::Write) {
@@ -111,12 +96,11 @@ Controller::enqueue(Request request)
     for (const Request &w : writeQueue_) {
         if (w.addr / 64 == line) {
             ++stats_.readsServed;
-            if (request.onComplete) {
-                completions_.emplace_back(now_ + 1, request.onComplete);
-                std::push_heap(completions_.begin(), completions_.end(),
-                               CompletionLater{});
-                wake_ = 0;
-            }
+            completions_.push_back(
+                Completion{now_ + 1, request.coreId, request.slot});
+            std::push_heap(completions_.begin(), completions_.end(),
+                           std::greater<>{});
+            wake_ = 0;
             return true;
         }
     }
@@ -424,14 +408,11 @@ Controller::tryIssueDemand()
             if (row_hit) {
                 if (is_read) {
                     ++stats_.readsServed;
-                    if (request.onComplete) {
-                        completions_.emplace_back(
-                            device_.readDataAt(now_),
-                            std::move(request.onComplete));
-                        std::push_heap(completions_.begin(),
-                                       completions_.end(),
-                                       CompletionLater{});
-                    }
+                    completions_.push_back(
+                        Completion{device_.readDataAt(now_),
+                                   request.coreId, request.slot});
+                    std::push_heap(completions_.begin(),
+                                   completions_.end(), std::greater<>{});
                 } else {
                     ++stats_.writesServed;
                 }
@@ -450,13 +431,12 @@ Controller::stepAt()
     acted_ = false;
     protectedKey_ = -1; // Commands issued since the last mask.
 
-    while (!completions_.empty() && completions_.front().first <= now_) {
+    while (!completions_.empty() && completions_.front().at <= now_) {
         std::pop_heap(completions_.begin(), completions_.end(),
-                      CompletionLater{});
-        auto done = std::move(completions_.back());
+                      std::greater<>{});
+        completed_.push_back(completions_.back());
         completions_.pop_back();
         acted_ = true;
-        done.second();
     }
 
     // One command per cycle, in priority order: auto-refresh, victim
@@ -536,7 +516,7 @@ Controller::computeWake() const
 {
     dram::Cycle wake = std::numeric_limits<dram::Cycle>::max();
     if (!completions_.empty())
-        wake = std::min(wake, completions_.front().first);
+        wake = std::min(wake, completions_.front().at);
 
     if (refreshPending_) {
         // A pending refresh blocks every other command stream; the next

@@ -7,8 +7,8 @@
  * refreshes and scales the refresh rate.
  *
  * The engine is event-driven: after a cycle in which no command issued
- * and no completion fired, the controller computes the earliest future
- * cycle at which anything can change (next read completion, next
+ * and no read's data returned, the controller computes the earliest
+ * future cycle at which anything can change (next read completion, next
  * auto-refresh, the blocked command's timing expiry, FR-FCFS candidate
  * legality, row-idle-close deadline) and advances to it in one jump.
  * The decision logic itself is unchanged from the per-cycle engine, so
@@ -23,9 +23,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <memory>
-#include <utility>
 #include <vector>
 
 #include "dram/device.hh"
@@ -48,6 +46,8 @@ struct ControllerStats
      *  refreshes (tRC each) plus auto-refresh time beyond the baseline
      *  refresh rate. */
     double mitigationBusyCycles = 0.0;
+    /** Reads enqueue() refused on a full read queue; always 0 under
+     *  core::System, which checks readQueueSpace() first. */
     std::int64_t readQueueFullEvents = 0;
     /** Best-effort posted writes (LLC writebacks) dropped because the
      *  write queue was full at enqueue (see notePostedWriteDrop()).
@@ -148,8 +148,8 @@ class Controller
 
     /**
      * Conservative lower bound on the earliest cycle >= now() at which
-     * this controller can call back into the CPU side (fire a read
-     * completion), assuming no further enqueues. Completions are
+     * a read's data can return (its token reach drainCompleted()),
+     * assuming no further enqueues. Completions are
      * created either at enqueue time (write-forwarded reads, ready the
      * next cycle) or when a RD command issues — at the earliest
      * device().readDataAt(now()) for an already-queued read, and
@@ -181,6 +181,16 @@ class Controller
     /** True iff no demand request is queued or in flight. */
     [[nodiscard]] bool idle() const;
 
+    /** Pass the token of each read whose data returned since the last
+     *  call to `fn(coreId, slot)`, in return order, then forget them. */
+    template <class Fn>
+    void drainCompleted(Fn &&fn)
+    {
+        for (const Completion &done : completed_)
+            fn(done.coreId, done.slot);
+        completed_.clear();
+    }
+
     /** Advance one device clock cycle (shim over advanceTo). */
     void tick() { advanceTo(now_ + 1); }
 
@@ -191,6 +201,16 @@ class Controller
     void advanceTo(dram::Cycle target);
 
   private:
+    /** A read's token and the cycle its data returns. */
+    struct Completion
+    {
+        dram::Cycle at;
+        int coreId;
+        std::uint32_t slot;
+
+        bool operator>(const Completion &o) const { return at > o.at; }
+    };
+
     /** A pending mitigation-issued victim-row refresh. */
     struct VictimRefresh
     {
@@ -287,8 +307,10 @@ class Controller
     /** Last cycle each flat bank was used (for idle-row closing). */
     std::vector<dram::Cycle> bankLastUse_;
     std::deque<VictimRefresh> victimQueue_;
-    /** Completions min-heap keyed by cycle. */
-    std::vector<std::pair<dram::Cycle, std::function<void()>>> completions_;
+    /** Reads whose data is on its way: a min-heap keyed by cycle. */
+    std::vector<Completion> completions_;
+    /** Returned reads, in return order, until drainCompleted(). */
+    std::vector<Completion> completed_;
 
     /** Reusable scratch for mitigation victim requests. */
     std::vector<mitigation::VictimRef> victimScratch_;

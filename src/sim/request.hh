@@ -8,7 +8,6 @@
 #define ROWHAMMER_SIM_REQUEST_HH
 
 #include <cstdint>
-#include <functional>
 
 #include "dram/address_functions.hh"
 #include "dram/organization.hh"
@@ -28,10 +27,11 @@ struct Request
 
     std::uint64_t addr = 0; ///< Physical byte address.
     Type type = Type::Read;
+    /** A read's completion token, which the controller only hands
+     *  back (Controller::drainCompleted): requester and its tag. */
     int coreId = 0;
-    dram::Cycle arrival = 0;      ///< Cycle the controller accepted it.
-    dram::Address decoded;        ///< Filled by the controller.
-    std::function<void()> onComplete; ///< Invoked when read data returns.
+    std::uint32_t slot = 0;
+    dram::Address decoded; ///< Filled by the controller.
 };
 
 /**

@@ -830,10 +830,10 @@ TEST(TraceAdapter, DrivesACoreAsTraceSource)
     // A memory system that completes everything instantly.
     std::vector<std::uint64_t> addresses;
     cpu::Core core(adapter,
-                   [&](std::uint64_t addr, bool,
-                       std::function<void()> done) {
+                   [&](std::uint64_t addr, bool write, std::uint32_t slot) {
                        addresses.push_back(addr);
-                       done();
+                       if (!write)
+                           core.complete(slot);
                        return true;
                    });
     for (int i = 0; i < 64; ++i)

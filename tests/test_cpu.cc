@@ -87,11 +87,10 @@ TEST(Core, PureComputeRunsAtFullWidth)
 {
     // Huge bubble counts: the core never touches memory.
     ScriptedTrace trace(TraceEntry{1000000, 0, false});
-    Core core(
-        trace, [](std::uint64_t, bool, std::function<void()>) {
-            ADD_FAILURE() << "memory should not be touched";
-            return true;
-        });
+    Core core(trace, [](std::uint64_t, bool, std::uint32_t) {
+        ADD_FAILURE() << "memory should not be touched";
+        return true;
+    });
     for (int i = 0; i < 1000; ++i)
         core.tick();
     EXPECT_NEAR(core.stats().ipc(), 4.0, 0.1);
@@ -101,12 +100,11 @@ TEST(Core, ImmediateMemoryKeepsIssuing)
 {
     ScriptedTrace trace(TraceEntry{9, 64, false});
     // Memory completes instantly.
-    Core core(trace,
-              [](std::uint64_t, bool, std::function<void()> done) {
-                  if (done)
-                      done();
-                  return true;
-              });
+    Core core(trace, [&](std::uint64_t, bool write, std::uint32_t slot) {
+        if (!write)
+            core.complete(slot);
+        return true;
+    });
     for (int i = 0; i < 1000; ++i)
         core.tick();
     EXPECT_GT(core.stats().ipc(), 3.0);
@@ -118,11 +116,10 @@ TEST(Core, StallsWhenMemoryNeverReturns)
 {
     ScriptedTrace trace(TraceEntry{0, 64, false});
     int sent = 0;
-    Core core(trace,
-              [&](std::uint64_t, bool, std::function<void()>) {
-                  ++sent;
-                  return true; // Accepted but never completed.
-              });
+    Core core(trace, [&](std::uint64_t, bool, std::uint32_t) {
+        ++sent;
+        return true; // Accepted but never completed.
+    });
     for (int i = 0; i < 1000; ++i)
         core.tick();
     // Window fills with pending reads and the core stops retiring.
@@ -135,15 +132,14 @@ TEST(Core, BackpressureRetriesSend)
 {
     ScriptedTrace trace(TraceEntry{0, 64, false});
     int attempts = 0;
-    Core core(trace,
-              [&](std::uint64_t, bool, std::function<void()> done) {
-                  ++attempts;
-                  if (attempts <= 3)
-                      return false; // Reject the first three tries.
-                  if (done)
-                      done();
-                  return true;
-              });
+    Core core(trace, [&](std::uint64_t, bool write, std::uint32_t slot) {
+        ++attempts;
+        if (attempts <= 3)
+            return false; // Reject the first three tries.
+        if (!write)
+            core.complete(slot);
+        return true;
+    });
     for (int i = 0; i < 10; ++i)
         core.tick();
     // Rejected sends do not count as issued memory reads.
@@ -157,14 +153,13 @@ TEST(Core, TickReportsProgress)
     // and accepted reads complete only when the test fires them.
     ScriptedTrace trace(TraceEntry{2, 64, false});
     bool accept = false;
-    std::vector<std::function<void()>> pending;
-    Core core(trace,
-              [&](std::uint64_t, bool, std::function<void()> done) {
-                  if (!accept)
-                      return false;
-                  pending.push_back(std::move(done));
-                  return true;
-              });
+    std::vector<std::uint32_t> pending;
+    Core core(trace, [&](std::uint64_t, bool, std::uint32_t slot) {
+        if (!accept)
+            return false;
+        pending.push_back(slot);
+        return true;
+    });
     EXPECT_TRUE(core.tick());  // Fetches an entry, issues its bubbles.
     EXPECT_TRUE(core.tick());  // Retires them; the read is rejected.
     EXPECT_FALSE(core.tick()); // Blocked: only the cycle count moves.
@@ -180,7 +175,7 @@ TEST(Core, TickReportsProgress)
     }
     EXPECT_EQ(core.windowOccupancy(), 128u);
     EXPECT_FALSE(core.tick());
-    pending.front()();
+    core.complete(pending.front());
     EXPECT_TRUE(core.tick()); // The oldest read retires.
 }
 
@@ -189,21 +184,20 @@ TEST(Core, OutOfOrderCompletionRetiresInOrder)
     // The memory system takes two reads, then refuses; the younger
     // read's data returns first.
     ScriptedTrace trace(TraceEntry{0, 64, false});
-    std::vector<std::function<void()>> pending;
-    Core core(trace,
-              [&](std::uint64_t, bool, std::function<void()> done) {
-                  if (pending.size() == 2)
-                      return false;
-                  pending.push_back(std::move(done));
-                  return true;
-              });
+    std::vector<std::uint32_t> pending;
+    Core core(trace, [&](std::uint64_t, bool, std::uint32_t slot) {
+        if (pending.size() == 2)
+            return false;
+        pending.push_back(slot);
+        return true;
+    });
     core.tick();
     ASSERT_EQ(core.stats().memReads, 2);
 
-    pending[1]();
+    core.complete(pending[1]);
     core.tick();
     EXPECT_EQ(core.stats().retired, 0); // The older read still blocks.
-    pending[0]();
+    core.complete(pending[0]);
     core.tick();
     EXPECT_EQ(core.stats().retired, 2);
     EXPECT_EQ(core.windowOccupancy(), 0u);
@@ -214,7 +208,7 @@ TEST(Core, IdleCyclesMatchBlockedTicks)
     // Two identical cores behind a memory system that rejects every
     // write: once blocked, n false ticks and idleCycles(n) must leave
     // the same state.
-    const auto reject = [](std::uint64_t, bool, std::function<void()>) {
+    const auto reject = [](std::uint64_t, bool, std::uint32_t) {
         return false;
     };
     ScriptedTrace trace_ticked(TraceEntry{3, 64, true});
@@ -240,11 +234,10 @@ TEST(Core, IdleCyclesMatchBlockedTicks)
 TEST(Core, WritesDoNotBlockRetirement)
 {
     ScriptedTrace trace(TraceEntry{3, 64, true});
-    Core core(trace,
-              [](std::uint64_t, bool write, std::function<void()>) {
-                  EXPECT_TRUE(write);
-                  return true;
-              });
+    Core core(trace, [](std::uint64_t, bool write, std::uint32_t) {
+        EXPECT_TRUE(write);
+        return true;
+    });
     for (int i = 0; i < 500; ++i)
         core.tick();
     EXPECT_GT(core.stats().ipc(), 3.0);
@@ -257,16 +250,15 @@ TEST(Core, DelayedCompletionBoundsIpc)
     // One read per instruction; each read takes 100 cycles via a manual
     // completion queue. IPC is bounded by window / latency.
     ScriptedTrace trace(TraceEntry{0, 64, false});
-    std::queue<std::pair<int, std::function<void()>>> pending;
+    std::queue<std::pair<int, std::uint32_t>> pending;
     int now = 0;
-    Core core(trace,
-              [&](std::uint64_t, bool, std::function<void()> done) {
-                  pending.emplace(now + 100, std::move(done));
-                  return true;
-              });
+    Core core(trace, [&](std::uint64_t, bool, std::uint32_t slot) {
+        pending.emplace(now + 100, slot);
+        return true;
+    });
     for (now = 0; now < 5000; ++now) {
         while (!pending.empty() && pending.front().first <= now) {
-            pending.front().second();
+            core.complete(pending.front().second);
             pending.pop();
         }
         core.tick();
@@ -278,9 +270,7 @@ TEST(Core, DelayedCompletionBoundsIpc)
 TEST(Core, InvalidConfigRejected)
 {
     ScriptedTrace trace(TraceEntry{1, 0, false});
-    auto send = [](std::uint64_t, bool, std::function<void()>) {
-        return true;
-    };
+    auto send = [](std::uint64_t, bool, std::uint32_t) { return true; };
     EXPECT_THROW(Core(trace, send, 0, 128), rowhammer::util::FatalError);
     EXPECT_THROW(Core(trace, send, 4, 0), rowhammer::util::FatalError);
 }

@@ -229,7 +229,8 @@ class ControllerTest : public ::testing::Test
     {
     }
 
-    /** Run until the predicate or a cycle cap. */
+    /** Run until the predicate or a cycle cap, counting the reads
+     *  drained after each cycle in completed_. */
     template <typename F>
     bool
     runUntil(F &&done, int max_cycles = 200000)
@@ -238,37 +239,37 @@ class ControllerTest : public ::testing::Test
             if (done())
                 return true;
             ctrl_.tick();
+            ctrl_.drainCompleted([this](int, std::uint32_t) {
+                ++completed_;
+            });
         }
         return done();
     }
 
     Controller ctrl_;
+    int completed_ = 0;
 };
 
 TEST_F(ControllerTest, ServesSingleRead)
 {
-    bool completed = false;
     Request r;
     r.addr = 4096;
     r.type = Request::Type::Read;
-    r.onComplete = [&] { completed = true; };
-    ASSERT_TRUE(ctrl_.enqueue(std::move(r)));
-    EXPECT_TRUE(runUntil([&] { return completed; }));
+    ASSERT_TRUE(ctrl_.enqueue(r));
+    EXPECT_TRUE(runUntil([&] { return completed_ == 1; }));
     EXPECT_EQ(ctrl_.stats().readsServed, 1);
     EXPECT_EQ(ctrl_.stats().demandActs, 1);
 }
 
 TEST_F(ControllerTest, RowHitsAvoidExtraActivations)
 {
-    int completed = 0;
     for (int i = 0; i < 8; ++i) {
         Request r;
         r.addr = static_cast<std::uint64_t>(i) * 64; // Same row.
         r.type = Request::Type::Read;
-        r.onComplete = [&] { ++completed; };
-        ASSERT_TRUE(ctrl_.enqueue(std::move(r)));
+        ASSERT_TRUE(ctrl_.enqueue(r));
     }
-    EXPECT_TRUE(runUntil([&] { return completed == 8; }));
+    EXPECT_TRUE(runUntil([&] { return completed_ == 8; }));
     EXPECT_EQ(ctrl_.stats().demandActs, 1); // One ACT serves all hits.
 }
 
@@ -279,15 +280,13 @@ TEST_F(ControllerTest, RowConflictPrechargesAndReactivates)
                     .column = 0};
     dram::Address b = a;
     b.row = 20;
-    int completed = 0;
     for (const auto &addr : {a, b}) {
         Request r;
         r.addr = mapper.encode(addr);
         r.type = Request::Type::Read;
-        r.onComplete = [&] { ++completed; };
-        ASSERT_TRUE(ctrl_.enqueue(std::move(r)));
+        ASSERT_TRUE(ctrl_.enqueue(r));
     }
-    EXPECT_TRUE(runUntil([&] { return completed == 2; }));
+    EXPECT_TRUE(runUntil([&] { return completed_ == 2; }));
     EXPECT_EQ(ctrl_.stats().demandActs, 2);
 }
 
@@ -307,19 +306,63 @@ TEST_F(ControllerTest, ReadForwardsFromWriteQueue)
     w.addr = 64 * 77;
     w.type = Request::Type::Write;
     ASSERT_TRUE(ctrl_.enqueue(std::move(w)));
-    bool completed = false;
     Request r;
     r.addr = 64 * 77;
     r.type = Request::Type::Read;
-    r.onComplete = [&] { completed = true; };
-    ASSERT_TRUE(ctrl_.enqueue(std::move(r)));
+    ASSERT_TRUE(ctrl_.enqueue(r));
     // The forwarded read is counted served immediately and never enters
-    // the read queue; its completion fires within a couple of cycles.
+    // the read queue; it drains within a couple of cycles.
     EXPECT_EQ(ctrl_.stats().readsServed, 1);
     EXPECT_EQ(ctrl_.readQueueSpace(), 64);
-    EXPECT_TRUE(runUntil([&] { return completed; }, 10));
+    EXPECT_TRUE(runUntil([&] { return completed_ == 1; }, 10));
     // Only the queued write may have activated a row; no read ACT.
     EXPECT_LE(ctrl_.stats().demandActs, 1);
+}
+
+TEST_F(ControllerTest, CompletionsReturnTokensInDataOrder)
+{
+    // A read forwarded from the write queue returns ahead of an older
+    // read that must open its row. Each comes back as the token it was
+    // enqueued with.
+    Request w;
+    w.addr = 64 * 77;
+    w.type = Request::Type::Write;
+    ASSERT_TRUE(ctrl_.enqueue(w));
+    Request a;
+    a.addr = 8192 * 16; // Another row.
+    a.coreId = 1;
+    a.slot = 7;
+    ASSERT_TRUE(ctrl_.enqueue(a));
+    Request b;
+    b.addr = 64 * 77;
+    b.coreId = 2;
+    b.slot = 9;
+    ASSERT_TRUE(ctrl_.enqueue(b));
+
+    struct Drained
+    {
+        dram::Cycle now;
+        int coreId;
+        std::uint32_t slot;
+    };
+    std::vector<Drained> drained;
+    while (drained.size() < 2 && ctrl_.now() < 1000) {
+        ctrl_.tick();
+        ctrl_.drainCompleted([&](int core, std::uint32_t slot) {
+            drained.push_back(Drained{ctrl_.now(), core, slot});
+        });
+    }
+    ASSERT_EQ(drained.size(), 2u);
+    EXPECT_EQ(drained[0].coreId, 2);
+    EXPECT_EQ(drained[0].slot, 9u);
+    EXPECT_EQ(drained[0].now, 2); // Forwarded: due the next cycle.
+    EXPECT_EQ(drained[1].coreId, 1);
+    EXPECT_EQ(drained[1].slot, 7u);
+    EXPECT_GT(drained[1].now, drained[0].now);
+
+    int again = 0;
+    ctrl_.drainCompleted([&](int, std::uint32_t) { ++again; });
+    EXPECT_EQ(again, 0);
 }
 
 TEST_F(ControllerTest, ReadQueueBackpressure)
@@ -377,17 +420,15 @@ TEST_F(ControllerTest, MitigationObservesActsAndInjectsRefreshes)
 {
     CountingMitigation stub;
     ctrl_.setMitigation(&stub);
-    int completed = 0;
     for (int i = 0; i < 8; ++i) {
         Request r;
         // Different rows in the same bank: eight ACTs.
         r.addr = static_cast<std::uint64_t>(i) * 8192 * 16;
         r.type = Request::Type::Read;
-        r.onComplete = [&] { ++completed; };
-        ASSERT_TRUE(ctrl_.enqueue(std::move(r)));
+        ASSERT_TRUE(ctrl_.enqueue(r));
     }
     EXPECT_TRUE(runUntil([&] {
-        return completed == 8 && ctrl_.idle();
+        return completed_ == 8 && ctrl_.idle();
     }));
     EXPECT_EQ(stub.activations, 8);
     EXPECT_EQ(ctrl_.stats().mitigationRefreshes, 4);
@@ -402,10 +443,8 @@ TEST_F(ControllerTest, MitigationRefreshNotObservedRecursively)
     Request r;
     r.addr = 0;
     r.type = Request::Type::Read;
-    bool completed = false;
-    r.onComplete = [&] { completed = true; };
-    ASSERT_TRUE(ctrl_.enqueue(std::move(r)));
-    EXPECT_TRUE(runUntil([&] { return completed && ctrl_.idle(); }));
+    ASSERT_TRUE(ctrl_.enqueue(r));
+    EXPECT_TRUE(runUntil([&] { return completed_ == 1 && ctrl_.idle(); }));
     // One demand ACT observed; the injected victim refresh (if any) must
     // not re-enter the observer.
     EXPECT_EQ(stub.activations, 1);

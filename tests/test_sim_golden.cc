@@ -96,14 +96,15 @@ driveTrace(Harness &h, std::uint64_t seed, int requests, int span_rows)
             r.addr = row * 8192 * 16 + col * 64;
             r.type = rng.bernoulli(0.3) ? Request::Type::Write
                                         : Request::Type::Read;
-            if (r.type == Request::Type::Read)
-                r.onComplete = [&h] { ++h.completed; };
-            if (h.ctrl->enqueue(std::move(r)))
+            if (h.ctrl->enqueue(r))
                 ++sent;
         }
         const auto gap = rng.uniformInt(1, 8);
-        for (std::uint64_t c = 0; c < gap; ++c)
+        for (std::uint64_t c = 0; c < gap; ++c) {
             h.ctrl->tick();
+            h.ctrl->drainCompleted(
+                [&h](int, std::uint32_t) { ++h.completed; });
+        }
     }
     // Drain trailing victim refreshes and let a few refresh periods
     // pass so TWiCe's onRefresh pruning runs in both engines.

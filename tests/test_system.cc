@@ -87,7 +87,7 @@ TEST(System, MitigationOverheadSlowsSystem)
     SystemConfig config = tinyConfig(4);
     mitigation::NoMitigation none;
     System baseline(config, apps, 4);
-    baseline.setMitigation(&none);
+    baseline.setMitigations({&none});
     const auto base = baseline.run(15000, 1000);
 
     // PARA at an extremely vulnerable HCfirst refreshes neighbours on a
@@ -96,7 +96,7 @@ TEST(System, MitigationOverheadSlowsSystem)
         mitigation::Kind::PARA, 128.0, config.timing,
         config.organization.rows, 5);
     System mitigated(config, apps, 4);
-    mitigated.setMitigation(para.get());
+    mitigated.setMitigations({para.get()});
     const auto with = mitigated.run(15000, 1000);
 
     EXPECT_GT(with.memStats.mitigationRefreshes, 0);
@@ -227,7 +227,6 @@ TEST(System, MultiChannelRequiresPerChannelMitigations)
     mitigation::NoMitigation none;
     {
         core::System system(config, {tinyApp(0), tinyApp(1)}, 5);
-        EXPECT_THROW(system.setMitigation(&none), util::FatalError);
         EXPECT_THROW(system.setMitigations({&none}), util::FatalError);
     }
 
@@ -390,7 +389,7 @@ runSaturated(core::SystemConfig config, bool lockstep,
     core::System system(config, mixes[47].apps, 3);
     const auto mechanism = mitigation::makeMitigation(
         kind, hc_first, config.timing, config.organization.rows, 5);
-    system.setMitigation(mechanism.get());
+    system.setMitigations({mechanism.get()});
     return record(system, instructions, instructions / 4);
 }
 
