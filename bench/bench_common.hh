@@ -8,8 +8,10 @@
 #ifndef ROWHAMMER_BENCH_COMMON_HH
 #define ROWHAMMER_BENCH_COMMON_HH
 
+#include <cstdint>
 #include <exception>
 #include <iostream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -22,6 +24,12 @@
 namespace rowhammer::bench
 {
 
+/** Largest deadline knob, in ms: the daemon's wire carries a deadline
+ *  as a u32, so a larger (or negative) value fails instead of
+ *  wrapping. */
+inline constexpr long kMaxDeadlineMs =
+    std::numeric_limits<std::uint32_t>::max();
+
 /**
  * The execution-only knobs of a checkpointed bench: RH_THREADS (pool
  * width), RH_CHECKPOINT (resume directory) and RH_DEADLINE_MS (batch
@@ -32,7 +40,8 @@ applyExecutionEnv(util::Execution &exec)
 {
     exec.threads = static_cast<int>(util::envLong("RH_THREADS", 0));
     exec.checkpointPath = util::envString("RH_CHECKPOINT", "");
-    exec.batchDeadlineMs = util::envLong("RH_DEADLINE_MS", 0);
+    exec.batchDeadlineMs =
+        util::envLong("RH_DEADLINE_MS", 0, 0, kMaxDeadlineMs);
 }
 
 /**

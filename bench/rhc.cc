@@ -69,7 +69,7 @@ runCommand(const std::string &command)
     request.config = bench::fig10ConfigFromEnv();
     request.hcFirsts = bench::fig10HcFirsts();
     const auto deadline_ms = static_cast<std::uint32_t>(
-        util::envLong("RH_DEADLINE_MS", 0));
+        util::envLong("RH_DEADLINE_MS", 0, 0, bench::kMaxDeadlineMs));
 
     const auto result = service::call(
         options, service::MsgType::Fig10,

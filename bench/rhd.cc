@@ -53,7 +53,7 @@ run()
     engine_config.threads =
         static_cast<int>(util::envLong("RH_THREADS", 0));
     engine_config.maxDeadlineMs = static_cast<std::uint32_t>(
-        util::envLong("RH_MAX_DEADLINE_MS", 0));
+        util::envLong("RH_MAX_DEADLINE_MS", 0, 0, bench::kMaxDeadlineMs));
     service::Engine engine(engine_config);
 
     service::ServerConfig server_config;

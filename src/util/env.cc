@@ -31,12 +31,17 @@ parseLong(const std::string &text, const std::string &what)
 }
 
 long
-envLong(const char *name, long fallback)
+envLong(const char *name, long fallback, long lo, long hi)
 {
     const char *value = std::getenv(name);
     if (!value || *value == '\0')
         return fallback;
-    return parseLong(value, name);
+    const long parsed = parseLong(value, name);
+    if (parsed < lo || parsed > hi) {
+        fatal(std::string(name) + ": value " + value + " is outside [" +
+              std::to_string(lo) + ", " + std::to_string(hi) + "]");
+    }
+    return parsed;
 }
 
 std::string

@@ -10,6 +10,7 @@
 #ifndef ROWHAMMER_UTIL_ENV_HH
 #define ROWHAMMER_UTIL_ENV_HH
 
+#include <limits>
 #include <string>
 
 namespace rowhammer::util
@@ -26,9 +27,13 @@ namespace rowhammer::util
 /**
  * Integer knob from the environment. Unset (or set to the empty
  * string, the conventional "unset" spelling) returns the fallback;
- * anything else must strict-parse or the process fatal()s.
+ * anything else must strict-parse and lie in [lo, hi] or the process
+ * fatal()s, naming the variable (a caller that narrows the value
+ * passes the target type's range, so nothing wraps).
  */
-[[nodiscard]] long envLong(const char *name, long fallback);
+[[nodiscard]] long envLong(const char *name, long fallback,
+                           long lo = std::numeric_limits<long>::min(),
+                           long hi = std::numeric_limits<long>::max());
 
 /** String knob from the environment with a default. */
 [[nodiscard]] std::string envString(const char *name,

@@ -570,6 +570,25 @@ TEST(EnvLong, FallbackStrictParseAndFatal)
     EXPECT_EQ(envLong("RH_TEST_KNOB", 5), 9);
     setenv("RH_TEST_KNOB", "nine", 1);
     EXPECT_THROW((void)envLong("RH_TEST_KNOB", 5), FatalError);
+
+    // The bounded form: both ends are valid, a step past either fails
+    // and names the variable.
+    const long u32_max = 4294967295L;
+    setenv("RH_TEST_KNOB", "4294967295", 1);
+    EXPECT_EQ(envLong("RH_TEST_KNOB", 5, 0, u32_max), u32_max);
+    setenv("RH_TEST_KNOB", "0", 1);
+    EXPECT_EQ(envLong("RH_TEST_KNOB", 5, 0, u32_max), 0);
+    for (const char *outside : {"-1", "4294967296"}) {
+        setenv("RH_TEST_KNOB", outside, 1);
+        try {
+            (void)envLong("RH_TEST_KNOB", 5, 0, u32_max);
+            ADD_FAILURE() << outside << " was accepted";
+        } catch (const FatalError &err) {
+            EXPECT_NE(std::string(err.what()).find("RH_TEST_KNOB"),
+                      std::string::npos)
+                << err.what();
+        }
+    }
     unsetenv("RH_TEST_KNOB");
 }
 
