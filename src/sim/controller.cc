@@ -100,7 +100,6 @@ Controller::enqueue(Request request)
                 Completion{now_ + 1, request.coreId, request.slot});
             std::push_heap(completions_.begin(), completions_.end(),
                            std::greater<>{});
-            wake_ = 0;
             return true;
         }
     }
@@ -431,14 +430,6 @@ Controller::stepAt()
     acted_ = false;
     protectedKey_ = -1; // Commands issued since the last mask.
 
-    while (!completions_.empty() && completions_.front().at <= now_) {
-        std::pop_heap(completions_.begin(), completions_.end(),
-                      std::greater<>{});
-        completed_.push_back(completions_.back());
-        completions_.pop_back();
-        acted_ = true;
-    }
-
     // One command per cycle, in priority order: auto-refresh, victim
     // refreshes, demand traffic, idle-row housekeeping.
     if (!tryIssueRefresh()) {
@@ -515,9 +506,6 @@ dram::Cycle
 Controller::computeWake() const
 {
     dram::Cycle wake = std::numeric_limits<dram::Cycle>::max();
-    if (!completions_.empty())
-        wake = std::min(wake, completions_.front().at);
-
     if (refreshPending_) {
         // A pending refresh blocks every other command stream; the next
         // event is the blocked PRE (first open bank, same scan order as
@@ -602,6 +590,14 @@ Controller::advanceTo(dram::Cycle target)
         ++now_;
         if (config_.eventDriven)
             wake_ = acted_ ? now_ : computeWake();
+    }
+    // A read's data has returned once its cycle has executed. Nothing
+    // the decision logic reads depends on it, so it is no wake event.
+    while (!completions_.empty() && completions_.front().at < now_) {
+        std::pop_heap(completions_.begin(), completions_.end(),
+                      std::greater<>{});
+        completed_.push_back(completions_.back());
+        completions_.pop_back();
     }
 }
 

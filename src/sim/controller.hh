@@ -6,11 +6,11 @@
  * auto-refresh, and a mitigation hook that injects targeted victim-row
  * refreshes and scales the refresh rate.
  *
- * The engine is event-driven: after a cycle in which no command issued
- * and no read's data returned, the controller computes the earliest
- * future cycle at which anything can change (next read completion, next
- * auto-refresh, the blocked command's timing expiry, FR-FCFS candidate
- * legality, row-idle-close deadline) and advances to it in one jump.
+ * The engine is event-driven: after a cycle in which no command issued,
+ * the controller computes the earliest future cycle at which anything
+ * can change (next auto-refresh, the blocked command's timing expiry,
+ * FR-FCFS candidate legality, row-idle-close deadline) and advances to
+ * it in one jump.
  * The decision logic itself is unchanged from the per-cycle engine, so
  * command streams and statistics are cycle-for-cycle identical; set
  * Config::eventDriven = false to force the reference per-cycle walk
@@ -148,17 +148,16 @@ class Controller
 
     /**
      * Conservative lower bound on the earliest cycle >= now() at which
-     * a read's data can return (its token reach drainCompleted()),
-     * assuming no further enqueues. Completions are
-     * created either at enqueue time (write-forwarded reads, ready the
-     * next cycle) or when a RD command issues — at the earliest
-     * device().readDataAt(now()) for an already-queued read, and
-     * readDataAt is monotone in the issue cycle — so with an empty
-     * read queue and completion heap nothing can reach the CPU before
-     * the next enqueue. core::System's epoch engine runs the CPU side
-     * ahead strictly below the minimum of these bounds and re-shrinks
-     * the horizon after each read enqueue (see docs/ARCHITECTURE.md,
-     * "Threading model").
+     * a read's data can return, assuming no further enqueues.
+     * Completions are created either at enqueue time (write-forwarded
+     * reads, ready the next cycle) or when a RD command issues — at
+     * the earliest device().readDataAt(now()) for an already-queued
+     * read, and readDataAt is monotone in the issue cycle — so with an
+     * empty read queue and completion heap nothing can reach the CPU
+     * before the next enqueue. core::System's epoch engine runs the CPU
+     * side ahead strictly below the minimum of these bounds and
+     * re-shrinks the horizon after each read enqueue (see
+     * docs/ARCHITECTURE.md, "Threading model").
      */
     dram::Cycle cpuInteractionBound() const;
 
