@@ -246,12 +246,12 @@ System::advanceEpoch(const std::function<bool()> &stop)
     epochHorizon_ = std::min(bound, start + kEpochCapCycles);
     dram::Cycle t = start;
     // Set by a CPU tick that made no progress. No read from memory
-    // completes inside an epoch, so until an LLC hit completes or a rejected send
-    // could be accepted (its channel's queue space grew), every later
-    // tick would repeat it exactly: each device step then only advances
-    // the channels to where a send would sync them and counts the idle
-    // CPU cycles. Queue space only grows while no core enqueues, so an
-    // unchanged total means no queue changed.
+    // completes inside an epoch, so until an LLC hit completes or a
+    // rejected send could be accepted (its channel's queue space grew),
+    // every later tick would repeat it exactly: each device step then
+    // only advances the channels to where a send would sync them and
+    // counts the idle CPU cycles. Queue space only grows while no core
+    // enqueues, so an unchanged total means no queue changed.
     bool frozen = false;
     int frozen_space = 0;
     do {
