@@ -77,11 +77,14 @@ main()
 
     // Step 4: scale out — fan the same HCfirst search across every chip
     // of a sampled module with the PopulationRunner. Per-chip RNG
-    // streams make the results bit-identical for any thread count.
+    // streams make the results bit-identical for any thread count; the
+    // pool width is fixed so the line that prints it is the same on
+    // every host.
     const auto chips = fault::sampleConfigChips(
         fault::TypeNode::LPDDR4_1x, fault::Manufacturer::B, 2020, 4);
     charlib::RunnerOptions runner_options;
     runner_options.seed = 7;
+    runner_options.threads = 4;
     charlib::PopulationRunner runner(runner_options);
     charlib::HcFirstOptions options;
     options.sampleRows = 8;
