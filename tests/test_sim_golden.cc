@@ -217,6 +217,113 @@ TEST(GoldenMapping, DefaultPresetCommandStreamMatchesPrePr)
     EXPECT_EQ(streamHash(para.commands), 0xd2fe96643f9a9d4fULL);
 }
 
+/** What driveMultiBank() observed besides the command stream. */
+struct MultiBankRun
+{
+    /** FNV-1a over each returned read's (coreId, slot), in return
+     *  order. */
+    std::uint64_t tokenHash = 1469598103934665603ULL;
+    bool readQueueFull = false;
+    bool writeQueueFull = false;
+};
+
+/**
+ * A trace over every bank: each request picks a uniform bank, one of
+ * eight rows in it and a uniform column, so FR-FCFS must order hits
+ * and conflicts across banks by age, not just within one bank (the
+ * driveTrace() addresses all land in bank group 0, bank 0).
+ */
+MultiBankRun
+driveMultiBank(Harness &h)
+{
+    const dram::Organization &org = h.ctrl->mapper().organization();
+    util::Rng rng(31);
+    MultiBankRun run;
+    const int requests = 3000;
+    int sent = 0;
+    while (sent < requests || !h.ctrl->idle()) {
+        if (sent < requests && rng.bernoulli(0.2)) {
+            dram::Address a = org.bankAddress(static_cast<int>(
+                rng.uniformInt(0, static_cast<std::uint64_t>(
+                                      org.totalBanks() - 1))));
+            a.row = static_cast<int>(rng.uniformInt(0, 7));
+            a.column = static_cast<int>(rng.uniformInt(
+                0, static_cast<std::uint64_t>(org.columns - 1)));
+            Request r;
+            r.addr = h.ctrl->mapper().encode(a);
+            r.type = rng.bernoulli(0.35) ? Request::Type::Write
+                                         : Request::Type::Read;
+            r.coreId = sent % 8;
+            r.slot = static_cast<std::uint32_t>(sent);
+            if (h.ctrl->enqueue(r))
+                ++sent;
+        }
+        run.readQueueFull |= h.ctrl->readQueueSpace() == 0;
+        run.writeQueueFull |= h.ctrl->writeQueueSpace() == 0;
+        h.ctrl->tick();
+        h.ctrl->drainCompleted([&](int core_id, std::uint32_t slot) {
+            ++h.completed;
+            run.tokenHash ^= static_cast<std::uint64_t>(core_id);
+            run.tokenHash *= 1099511628211ULL;
+            run.tokenHash ^= slot;
+            run.tokenHash *= 1099511628211ULL;
+        });
+    }
+    const auto trefi = h.ctrl->device().timing().tREFI;
+    h.ctrl->advanceTo(h.ctrl->now() + 4 * trefi);
+    return run;
+}
+
+TEST(GoldenMultiBank, CommandStreamAndReturnOrderPinned)
+{
+    // Pinned values, captured before the scheduler indexed its queues
+    // by bank: FR-FCFS age order across banks, protection of banks
+    // with queued hits, and the write-drain hysteresis must all keep
+    // this command stream and this read-return order.
+    struct Pin
+    {
+        mitigation::Kind kind;
+        double hcFirst;
+        std::size_t commands;
+        std::int64_t cycles, reads, writes, acts, refs, victims;
+        std::uint64_t stream, tokens;
+    };
+    const Pin pins[] = {
+        {mitigation::Kind::None, 0.0, 7570, 53533, 1921, 1079, 2284, 5, 0,
+         0x72d9a5de13635c62ULL, 0x5f4ecf0773892597ULL},
+        {mitigation::Kind::PARA, 2000.0, 7474, 60410, 1526, 1474, 2131, 6,
+         103, 0xd403efcce6944049ULL, 0xde3740cd1aa70d9dULL},
+    };
+    for (const Pin &pin : pins) {
+        SCOPED_TRACE(toString(pin.kind));
+        Harness event(true, pin.kind, pin.hcFirst);
+        Harness reference(false, pin.kind, pin.hcFirst);
+        const MultiBankRun ev = driveMultiBank(event);
+        const MultiBankRun ref = driveMultiBank(reference);
+
+        ASSERT_EQ(event.commands, reference.commands);
+        EXPECT_EQ(ev.tokenHash, ref.tokenHash);
+        EXPECT_EQ(event.ctrl->stats().cycles,
+                  reference.ctrl->stats().cycles);
+        EXPECT_TRUE(ev.readQueueFull);
+        EXPECT_TRUE(ev.writeQueueFull);
+
+        const auto &s = event.ctrl->stats();
+        EXPECT_EQ(event.commands.size(), pin.commands);
+        EXPECT_EQ(s.cycles, pin.cycles);
+        EXPECT_EQ(s.readsServed, pin.reads);
+        EXPECT_EQ(s.writesServed, pin.writes);
+        EXPECT_EQ(s.demandActs, pin.acts);
+        EXPECT_EQ(s.autoRefreshes, pin.refs);
+        EXPECT_EQ(s.mitigationRefreshes, pin.victims);
+        EXPECT_EQ(streamHash(event.commands), pin.stream);
+        EXPECT_EQ(ev.tokenHash, pin.tokens);
+        if (pin.kind != mitigation::Kind::None) {
+            EXPECT_GT(s.mitigationRefreshes, 0);
+        }
+    }
+}
+
 TEST(GoldenMapping, ExplicitLinearPresetMatchesDefault)
 {
     const dram::Organization org = dram::table6Organization();
