@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <functional>
 #include <limits>
+#include <string>
 
 #include "util/logging.hh"
 
@@ -25,18 +26,33 @@ Controller::Controller(dram::Organization org, dram::TimingSpec timing,
     : org_(org), device_(org, timing),
       mapper_(org, std::move(functions)), config_(config)
 {
-    if (config_.writeLowWatermark >= config_.writeHighWatermark ||
-        config_.writeHighWatermark > config_.writeQueueSize) {
-        util::fatal("Controller: inconsistent write watermarks");
+    // Each bound below keeps reads servable: without a read slot no
+    // read is accepted, and a drain that never reaches its low
+    // watermark starves them.
+    if (config_.readQueueSize < 1) {
+        util::fatal("Controller: readQueueSize must be >= 1, got " +
+                    std::to_string(config_.readQueueSize));
+    }
+    if (config_.writeLowWatermark < 0 ||
+        config_.writeLowWatermark >= config_.writeHighWatermark) {
+        util::fatal("Controller: writeLowWatermark must be in "
+                    "[0, writeHighWatermark), got " +
+                    std::to_string(config_.writeLowWatermark));
+    }
+    if (config_.writeHighWatermark > config_.writeQueueSize) {
+        util::fatal("Controller: writeHighWatermark must be <= "
+                    "writeQueueSize, got " +
+                    std::to_string(config_.writeHighWatermark));
     }
     nextRefreshAt_ = timing.tREFI;
     stats_.ranks = org_.ranks;
-    bankLastUse_.assign(static_cast<std::size_t>(org_.totalBanks()), 0);
-    protectedMask_.assign(
-        (static_cast<std::size_t>(org_.totalBanks()) + 63) / 64, 0);
-    openRowByBank_.assign(static_cast<std::size_t>(org_.totalBanks()),
-                          -1);
-    bankSeen_.assign(2 * static_cast<std::size_t>(org_.totalBanks()), 0);
+    const auto banks = static_cast<std::size_t>(org_.totalBanks());
+    for (Queue *queue : {&reads_, &writes_}) {
+        queue->banks.resize(banks);
+        queue->hits.assign(banks, 0);
+    }
+    openRow_.assign(banks, -1);
+    bankLastUse_.assign(banks, 0);
 }
 
 void
@@ -49,13 +65,13 @@ Controller::setMitigation(mitigation::Mitigation *mechanism)
 int
 Controller::readQueueSpace() const
 {
-    return config_.readQueueSize - static_cast<int>(readQueue_.size());
+    return config_.readQueueSize - reads_.size;
 }
 
 int
 Controller::writeQueueSpace() const
 {
-    return config_.writeQueueSize - static_cast<int>(writeQueue_.size());
+    return config_.writeQueueSize - writes_.size;
 }
 
 dram::Cycle
@@ -66,7 +82,7 @@ Controller::cpuInteractionBound() const
         bound = std::min(bound, completions_.front().at);
     // Any read still queued can complete no earlier than a RD issued
     // this very cycle; writes and victim refreshes return nothing.
-    if (!readQueue_.empty())
+    if (reads_.size > 0)
         bound = std::min(bound, device_.readDataAt(now_));
     return bound;
 }
@@ -75,44 +91,70 @@ bool
 Controller::enqueue(Request request)
 {
     request.decoded = mapper_.decode(request.addr);
-    protectedKey_ = -1; // The queues are the mask's input.
+    const bool write = request.type == Request::Type::Write;
+    Queue &queue = write ? writes_ : reads_;
 
-    if (request.type == Request::Type::Write) {
-        if (static_cast<int>(writeQueue_.size()) >=
-            config_.writeQueueSize) {
+    if (write) {
+        if (writes_.size >= config_.writeQueueSize)
+            return false;
+    } else {
+        if (reads_.size >= config_.readQueueSize) {
+            ++stats_.readQueueFullEvents;
             return false;
         }
-        writeQueue_.push_back(std::move(request));
-        wake_ = 0; // New work invalidates the next-event cache.
-        return true;
-    }
-
-    if (static_cast<int>(readQueue_.size()) >= config_.readQueueSize) {
-        ++stats_.readQueueFullEvents;
-        return false;
-    }
-    // Forward from a queued write to the same line, if any.
-    const std::uint64_t line = request.addr / 64;
-    for (const Request &w : writeQueue_) {
-        if (w.addr / 64 == line) {
-            ++stats_.readsServed;
-            completions_.push_back(
-                Completion{now_ + 1, request.coreId, request.slot});
-            std::push_heap(completions_.begin(), completions_.end(),
-                           std::greater<>{});
-            return true;
+        // Forward from a queued write to the same line, if any.
+        const std::uint64_t line = request.addr / 64;
+        for (const auto &bank : writes_.banks) {
+            for (const Entry &w : bank) {
+                if (w.request.addr / 64 != line)
+                    continue;
+                ++stats_.readsServed;
+                completions_.push_back(
+                    Completion{now_ + 1, request.coreId, request.slot});
+                std::push_heap(completions_.begin(), completions_.end(),
+                               std::greater<>{});
+                return true;
+            }
         }
     }
-    readQueue_.push_back(std::move(request));
-    wake_ = 0;
+
+    const auto flat = static_cast<std::size_t>(
+        org_.flatBank(request.decoded));
+    if (openRow_[flat] == request.decoded.row)
+        ++queue.hits[flat];
+    queue.banks[flat].push_back(Entry{nextSeq_++, std::move(request)});
+    ++queue.size;
+    wake_ = 0; // New work invalidates the next-event cache.
     return true;
 }
 
 bool
 Controller::idle() const
 {
-    return readQueue_.empty() && writeQueue_.empty() &&
+    return reads_.size == 0 && writes_.size == 0 &&
         victimQueue_.empty() && completions_.empty();
+}
+
+void
+Controller::issue(dram::Command cmd, const dram::Address &addr)
+{
+    device_.issue(cmd, addr, now_);
+    acted_ = true;
+    if (cmd != dram::Command::ACT && cmd != dram::Command::PRE)
+        return;
+    const auto flat = static_cast<std::size_t>(org_.flatBank(addr));
+    const bool act = cmd == dram::Command::ACT;
+    openRow_[flat] = act ? addr.row : -1;
+    for (Queue *queue : {&reads_, &writes_}) {
+        const std::vector<Entry> &bank = queue->banks[flat];
+        queue->hits[flat] = act
+            ? static_cast<int>(std::count_if(
+                  bank.begin(), bank.end(),
+                  [&](const Entry &e) {
+                      return e.request.decoded.row == addr.row;
+                  }))
+            : 0;
+    }
 }
 
 dram::Address
@@ -160,33 +202,23 @@ Controller::tryIssueRefresh()
         return false;
 
     // Close any open bank first (one command per cycle).
-    dram::Address addr;
-    for (addr.rank = 0; addr.rank < org_.ranks; ++addr.rank) {
-        for (addr.bankGroup = 0; addr.bankGroup < org_.bankGroups;
-             ++addr.bankGroup) {
-            for (addr.bank = 0; addr.bank < org_.banksPerGroup;
-                 ++addr.bank) {
-                if (!device_.isOpen(addr))
-                    continue;
-                if (device_.canIssue(dram::Command::PRE, addr, now_)) {
-                    device_.issue(dram::Command::PRE, addr, now_);
-                    acted_ = true;
-                    return true;
-                }
-                return true; // Wait for the PRE to become legal.
-            }
-        }
+    for (int flat = 0; flat < org_.totalBanks(); ++flat) {
+        if (openRow_[static_cast<std::size_t>(flat)] < 0)
+            continue;
+        const dram::Address addr = org_.bankAddress(flat);
+        if (device_.canIssue(dram::Command::PRE, addr, now_))
+            issue(dram::Command::PRE, addr);
+        return true; // Or wait for the PRE to become legal.
     }
 
     // REF is a per-rank command: one per rank per boundary, back to
     // back (with one rank this is exactly the historical single REF).
-    addr = dram::Address{};
+    dram::Address addr;
     addr.rank = org_.ranks - refreshRanksLeft_;
     if (!device_.canIssue(dram::Command::REF, addr, now_))
         return true; // Banks closed but timing not met yet; keep waiting.
 
-    device_.issue(dram::Command::REF, addr, now_);
-    acted_ = true;
+    issue(dram::Command::REF, addr);
     ++stats_.autoRefreshes;
 
     // Auto-refresh time beyond the baseline refresh rate is mitigation
@@ -217,49 +249,6 @@ Controller::tryIssueRefresh()
     return true;
 }
 
-void
-Controller::refreshOpenRows() const
-{
-    dram::Address addr;
-    for (addr.rank = 0; addr.rank < org_.ranks; ++addr.rank) {
-        for (addr.bankGroup = 0; addr.bankGroup < org_.bankGroups;
-             ++addr.bankGroup) {
-            for (addr.bank = 0; addr.bank < org_.banksPerGroup;
-                 ++addr.bank) {
-                openRowByBank_[static_cast<std::size_t>(
-                    org_.flatBank(addr))] =
-                    device_.isOpen(addr) ? device_.openRow(addr) : -1;
-            }
-        }
-    }
-}
-
-void
-Controller::computeProtectedBanks(bool include_reads,
-                                  bool include_writes) const
-{
-    const int key = (include_reads ? 1 : 0) | (include_writes ? 2 : 0);
-    if (key == protectedKey_)
-        return;
-    protectedKey_ = key;
-    refreshOpenRows();
-    std::fill(protectedMask_.begin(), protectedMask_.end(), 0);
-    auto scan = [&](const std::deque<Request> &queue) {
-        for (const Request &request : queue) {
-            const auto flat = static_cast<std::size_t>(
-                org_.flatBank(request.decoded));
-            if (request.decoded.row >= 0 &&
-                openRowByBank_[flat] == request.decoded.row) {
-                protectedMask_[flat / 64] |= 1ULL << (flat % 64);
-            }
-        }
-    };
-    if (include_reads)
-        scan(readQueue_);
-    if (include_writes)
-        scan(writeQueue_);
-}
-
 bool
 Controller::tryIssueVictimRefresh()
 {
@@ -268,47 +257,37 @@ Controller::tryIssueVictimRefresh()
     VictimRefresh &vr = victimQueue_.front();
 
     if (!vr.activated) {
-        // Let queued row hits on this bank drain first; closing their
-        // row mid-burst would force extra activations (row thrash).
-        // Only the actively-served queue can make progress, so only it
-        // protects banks.
-        if (device_.isOpen(vr.addr) &&
-            device_.openRow(vr.addr) != vr.addr.row) {
-            computeProtectedBanks(!drainingWrites_, drainingWrites_);
-            if (protectedBank(org_.flatBank(vr.addr)))
-                return false;
-        }
-        if (device_.isOpen(vr.addr) &&
-            device_.openRow(vr.addr) == vr.addr.row) {
+        const auto flat = static_cast<std::size_t>(org_.flatBank(vr.addr));
+        const int open_row = openRow_[flat];
+        if (open_row == vr.addr.row) {
             // Row already open: opening it refreshed it; just finish.
             victimQueue_.pop_front();
             acted_ = true;
             return false;
         }
-        if (device_.isOpen(vr.addr)) {
-            if (device_.canIssue(dram::Command::PRE, vr.addr, now_)) {
-                device_.issue(dram::Command::PRE, vr.addr, now_);
-                acted_ = true;
-                return true;
-            }
+        if (open_row >= 0) {
+            // Let queued row hits on this bank drain first; closing
+            // their row mid-burst would force extra activations (row
+            // thrash). Only the actively-served queue can make
+            // progress, so only it protects banks.
+            if ((drainingWrites_ ? writes_ : reads_).hits[flat] > 0)
+                return false;
+            if (device_.canIssue(dram::Command::PRE, vr.addr, now_))
+                issue(dram::Command::PRE, vr.addr);
             return true;
         }
         if (device_.canIssue(dram::Command::ACT, vr.addr, now_)) {
-            device_.issue(dram::Command::ACT, vr.addr, now_);
+            issue(dram::Command::ACT, vr.addr);
             vr.activated = true;
-            acted_ = true;
             ++stats_.mitigationRefreshes;
             stats_.mitigationBusyCycles += device_.timing().tRC;
-            return true;
         }
         return true;
     }
 
     if (device_.canIssue(dram::Command::PRE, vr.addr, now_)) {
-        device_.issue(dram::Command::PRE, vr.addr, now_);
+        issue(dram::Command::PRE, vr.addr);
         victimQueue_.pop_front();
-        acted_ = true;
-        return true;
     }
     return true;
 }
@@ -320,26 +299,16 @@ Controller::tryCloseIdleRow()
     // recently, so the next conflicting access pays only tRP-hidden
     // activation latency rather than a full precharge on the critical
     // path.
-    dram::Address addr;
-    for (addr.rank = 0; addr.rank < org_.ranks; ++addr.rank) {
-        for (addr.bankGroup = 0; addr.bankGroup < org_.bankGroups;
-             ++addr.bankGroup) {
-            for (addr.bank = 0; addr.bank < org_.banksPerGroup;
-                 ++addr.bank) {
-                if (!device_.isOpen(addr))
-                    continue;
-                const auto flat =
-                    static_cast<std::size_t>(org_.flatBank(addr));
-                if (now_ - bankLastUse_[flat] <
-                    config_.rowIdleCloseCycles) {
-                    continue;
-                }
-                if (device_.canIssue(dram::Command::PRE, addr, now_)) {
-                    device_.issue(dram::Command::PRE, addr, now_);
-                    acted_ = true;
-                    return true;
-                }
-            }
+    for (int flat = 0; flat < org_.totalBanks(); ++flat) {
+        const auto i = static_cast<std::size_t>(flat);
+        if (openRow_[i] < 0 ||
+            now_ - bankLastUse_[i] < config_.rowIdleCloseCycles) {
+            continue;
+        }
+        const dram::Address addr = org_.bankAddress(flat);
+        if (device_.canIssue(dram::Command::PRE, addr, now_)) {
+            issue(dram::Command::PRE, addr);
+            return true;
         }
     }
     return false;
@@ -350,85 +319,96 @@ Controller::tryIssueDemand()
 {
     // Write-drain hysteresis.
     if (drainingWrites_) {
-        if (static_cast<int>(writeQueue_.size()) <=
-            config_.writeLowWatermark) {
+        if (writes_.size <= config_.writeLowWatermark)
             drainingWrites_ = false;
-        }
-    } else if (static_cast<int>(writeQueue_.size()) >=
-               config_.writeHighWatermark) {
+    } else if (writes_.size >= config_.writeHighWatermark) {
         drainingWrites_ = true;
     }
 
     const bool serve_writes =
-        drainingWrites_ || (readQueue_.empty() && !writeQueue_.empty());
-    auto &queue = serve_writes ? writeQueue_ : readQueue_;
-    if (queue.empty())
+        drainingWrites_ || (reads_.size == 0 && writes_.size > 0);
+    Queue &queue = serve_writes ? writes_ : reads_;
+    if (queue.size == 0)
         return false;
 
-    // Banks whose open row still has queued row-hit requests must not
-    // be precharged by younger conflicting requests (hit priority).
-    computeProtectedBanks(!serve_writes, serve_writes);
-
-    // FR-FCFS: oldest row-hit first, then oldest overall. Nothing
-    // issues mid-scan and the queue holds one request type, so each
-    // bank's command is asked of the device at most once per pass.
-    const bool is_read = !serve_writes;
-    std::fill(bankSeen_.begin(), bankSeen_.end(), 0);
-    for (int pass = 0; pass < 2; ++pass) {
-        // Pass 1 skips the hits: pass 0 found each one's RD/WR illegal.
-        const bool hits_pass = pass == 0;
-        for (std::size_t i = 0; i < queue.size(); ++i) {
-            Request &request = queue[i];
-            const int flat = org_.flatBank(request.decoded);
-            const int open_row =
-                openRowByBank_[static_cast<std::size_t>(flat)];
-            const bool row_hit = open_row == request.decoded.row;
-            if (row_hit != hits_pass)
-                continue;
-            // A conflicting request must wait while the open row still
-            // serves queued hits.
-            if (!row_hit && open_row >= 0 && protectedBank(flat))
-                continue;
-            if (seenBefore(flat, row_hit))
-                continue; // Same bank, same command: still illegal.
-            dram::Command cmd = dram::Command::ACT;
-            if (row_hit)
-                cmd = is_read ? dram::Command::RD : dram::Command::WR;
-            else if (open_row >= 0)
-                cmd = dram::Command::PRE;
-            if (!device_.canIssue(cmd, request.decoded, now_))
-                continue;
-            device_.issue(cmd, request.decoded, now_);
-            acted_ = true;
-            if (cmd != dram::Command::PRE)
-                bankLastUse_[static_cast<std::size_t>(flat)] = now_;
-            if (cmd == dram::Command::ACT)
-                observeActivate(request.decoded);
-            if (row_hit) {
-                if (is_read) {
-                    ++stats_.readsServed;
-                    completions_.push_back(
-                        Completion{device_.readDataAt(now_),
-                                   request.coreId, request.slot});
-                    std::push_heap(completions_.begin(),
-                                   completions_.end(), std::greater<>{});
-                } else {
-                    ++stats_.writesServed;
-                }
-                queue.erase(queue.begin() +
-                            static_cast<std::ptrdiff_t>(i));
-            }
-            return true;
+    // FR-FCFS: the oldest legal row hit, else the oldest legal
+    // non-hit. Legality depends only on the bank and the command, so
+    // each bank is asked once, about its oldest candidate.
+    const dram::Command column =
+        serve_writes ? dram::Command::WR : dram::Command::RD;
+    const std::size_t banks = queue.banks.size();
+    std::uint64_t best_seq = std::numeric_limits<std::uint64_t>::max();
+    std::size_t best_bank = banks;
+    std::size_t best_index = 0;
+    for (std::size_t flat = 0; flat < banks; ++flat) {
+        if (queue.hits[flat] == 0)
+            continue;
+        const std::vector<Entry> &bank = queue.banks[flat];
+        std::size_t i = 0;
+        while (bank[i].request.decoded.row != openRow_[flat])
+            ++i;
+        if (bank[i].seq < best_seq &&
+            device_.canIssue(column, bank[i].request.decoded, now_)) {
+            best_seq = bank[i].seq;
+            best_bank = flat;
+            best_index = i;
         }
     }
-    return false;
+    if (best_bank < banks) {
+        std::vector<Entry> &bank = queue.banks[best_bank];
+        const Request &request = bank[best_index].request;
+        issue(column, request.decoded);
+        bankLastUse_[best_bank] = now_;
+        if (serve_writes) {
+            ++stats_.writesServed;
+        } else {
+            ++stats_.readsServed;
+            completions_.push_back(Completion{device_.readDataAt(now_),
+                                              request.coreId,
+                                              request.slot});
+            std::push_heap(completions_.begin(), completions_.end(),
+                           std::greater<>{});
+        }
+        bank.erase(bank.begin() + static_cast<std::ptrdiff_t>(best_index));
+        --queue.hits[best_bank];
+        --queue.size;
+        return true;
+    }
+
+    // A bank with queued hits is protected: its conflicting requests
+    // wait until the hits drain. Elsewhere every request needs the
+    // same PRE (bank open) or ACT (bank closed), so the front decides.
+    for (std::size_t flat = 0; flat < banks; ++flat) {
+        const std::vector<Entry> &bank = queue.banks[flat];
+        if (bank.empty() || queue.hits[flat] > 0 ||
+            bank.front().seq >= best_seq) {
+            continue;
+        }
+        const dram::Command cmd = openRow_[flat] >= 0
+            ? dram::Command::PRE
+            : dram::Command::ACT;
+        if (device_.canIssue(cmd, bank.front().request.decoded, now_)) {
+            best_seq = bank.front().seq;
+            best_bank = flat;
+        }
+    }
+    if (best_bank == banks)
+        return false;
+    const dram::Address addr = queue.banks[best_bank].front().request.decoded;
+    if (openRow_[best_bank] >= 0) {
+        issue(dram::Command::PRE, addr);
+    } else {
+        issue(dram::Command::ACT, addr);
+        bankLastUse_[best_bank] = now_;
+        observeActivate(addr);
+    }
+    return true;
 }
 
 void
 Controller::stepAt()
 {
     acted_ = false;
-    protectedKey_ = -1; // Commands issued since the last mask.
 
     // One command per cycle, in priority order: auto-refresh, victim
     // refreshes, demand traffic, idle-row housekeeping.
@@ -446,34 +426,24 @@ Controller::demandWake() const
     // drainingWrites_ is current here: tryIssueDemand ran (and applied
     // its hysteresis) in the step that preceded this wake computation.
     const bool serve_writes =
-        drainingWrites_ || (readQueue_.empty() && !writeQueue_.empty());
-    const auto &queue = serve_writes ? writeQueue_ : readQueue_;
+        drainingWrites_ || (reads_.size == 0 && writes_.size > 0);
+    const Queue &queue = serve_writes ? writes_ : reads_;
     dram::Cycle wake = std::numeric_limits<dram::Cycle>::max();
-    if (queue.empty())
-        return wake;
-
-    computeProtectedBanks(!serve_writes, serve_writes);
-    std::fill(bankSeen_.begin(), bankSeen_.end(), 0);
-    for (const Request &request : queue) {
-        const int flat = org_.flatBank(request.decoded);
-        const int open_row =
-            openRowByBank_[static_cast<std::size_t>(flat)];
-        const bool row_hit = open_row == request.decoded.row;
-        if (seenBefore(flat, row_hit))
-            continue; // Same bank, same command: same earliest cycle.
-        dram::Command cmd;
-        if (row_hit) {
-            cmd = request.type == Request::Type::Read ? dram::Command::RD
-                                                      : dram::Command::WR;
-        } else if (open_row >= 0) {
-            if (protectedBank(flat))
-                continue; // Never attempted while the bank is protected.
+    for (std::size_t flat = 0; flat < queue.banks.size(); ++flat) {
+        const std::vector<Entry> &bank = queue.banks[flat];
+        if (bank.empty())
+            continue;
+        // The command tryIssueDemand would ask this bank about (a
+        // protected bank's non-hits are never asked). earliest() reads
+        // only the rank, bank group and bank, so any of the bank's
+        // requests serves as the address.
+        dram::Command cmd = dram::Command::ACT;
+        if (queue.hits[flat] > 0)
+            cmd = serve_writes ? dram::Command::WR : dram::Command::RD;
+        else if (openRow_[flat] >= 0)
             cmd = dram::Command::PRE;
-        } else {
-            cmd = dram::Command::ACT;
-        }
-        wake = std::min(wake,
-                        device_.earliest(cmd, request.decoded, now_));
+        wake = std::min(wake, device_.earliest(
+                                  cmd, bank.front().request.decoded, now_));
     }
     return wake;
 }
@@ -482,22 +452,15 @@ dram::Cycle
 Controller::closeWake() const
 {
     dram::Cycle wake = std::numeric_limits<dram::Cycle>::max();
-    dram::Address addr;
-    for (addr.rank = 0; addr.rank < org_.ranks; ++addr.rank) {
-        for (addr.bankGroup = 0; addr.bankGroup < org_.bankGroups;
-             ++addr.bankGroup) {
-            for (addr.bank = 0; addr.bank < org_.banksPerGroup;
-                 ++addr.bank) {
-                if (!device_.isOpen(addr))
-                    continue;
-                const auto flat =
-                    static_cast<std::size_t>(org_.flatBank(addr));
-                const dram::Cycle ready = std::max(
-                    bankLastUse_[flat] + config_.rowIdleCloseCycles,
-                    device_.earliest(dram::Command::PRE, addr, now_));
-                wake = std::min(wake, ready);
-            }
-        }
+    for (int flat = 0; flat < org_.totalBanks(); ++flat) {
+        const auto i = static_cast<std::size_t>(flat);
+        if (openRow_[i] < 0)
+            continue;
+        const dram::Cycle ready = std::max(
+            bankLastUse_[i] + config_.rowIdleCloseCycles,
+            device_.earliest(dram::Command::PRE, org_.bankAddress(flat),
+                             now_));
+        wake = std::min(wake, ready);
     }
     return wake;
 }
@@ -510,21 +473,14 @@ Controller::computeWake() const
         // A pending refresh blocks every other command stream; the next
         // event is the blocked PRE (first open bank, same scan order as
         // tryIssueRefresh) or, with all banks closed, REF legality.
-        dram::Address addr;
-        for (addr.rank = 0; addr.rank < org_.ranks; ++addr.rank) {
-            for (addr.bankGroup = 0; addr.bankGroup < org_.bankGroups;
-                 ++addr.bankGroup) {
-                for (addr.bank = 0; addr.bank < org_.banksPerGroup;
-                     ++addr.bank) {
-                    if (!device_.isOpen(addr))
-                        continue;
-                    return std::max(
-                        std::min(wake,
-                                 device_.earliest(dram::Command::PRE,
-                                                  addr, now_)),
-                        now_);
-                }
-            }
+        for (int flat = 0; flat < org_.totalBanks(); ++flat) {
+            if (openRow_[static_cast<std::size_t>(flat)] < 0)
+                continue;
+            return std::max(
+                std::min(wake, device_.earliest(dram::Command::PRE,
+                                                org_.bankAddress(flat),
+                                                now_)),
+                now_);
         }
         dram::Address ref_addr{};
         ref_addr.rank = org_.ranks - refreshRanksLeft_;
@@ -540,14 +496,15 @@ Controller::computeWake() const
     bool victim_blocks = false;
     if (!victimQueue_.empty()) {
         const VictimRefresh &vr = victimQueue_.front();
-        const bool open = device_.isOpen(vr.addr);
+        const auto flat = static_cast<std::size_t>(org_.flatBank(vr.addr));
+        const int open_row = openRow_[flat];
+        const bool open = open_row >= 0;
         if (vr.activated) {
             victim_blocks = true;
             wake = std::min(wake, device_.earliest(dram::Command::PRE,
                                                    vr.addr, now_));
-        } else if (open && device_.openRow(vr.addr) != vr.addr.row) {
-            computeProtectedBanks(!drainingWrites_, drainingWrites_);
-            if (protectedBank(org_.flatBank(vr.addr))) {
+        } else if (open && open_row != vr.addr.row) {
+            if ((drainingWrites_ ? writes_ : reads_).hits[flat] > 0) {
                 // Deferring to demand traffic; the protection can only
                 // change when something else acts.
             } else {

@@ -6,6 +6,12 @@
  * auto-refresh, and a mitigation hook that injects targeted victim-row
  * refreshes and scales the refresh rate.
  *
+ * FR-FCFS runs over per-bank queues: each queue keeps its requests per
+ * flat bank in arrival order, stamped with a controller-wide arrival
+ * number, plus a count of each bank's requests to its open row. A
+ * scheduling pass asks the device one question per bank, about that
+ * bank's oldest candidate, instead of one per queued request.
+ *
  * The engine is event-driven: after a cycle in which no command issued,
  * the controller computes the earliest future cycle at which anything
  * can change (next auto-refresh, the blocked command's timing expiry,
@@ -107,6 +113,9 @@ struct ControllerStats
 class Controller
 {
   public:
+    /** The constructor fatal()s unless readQueueSize >= 1 and
+     *  0 <= writeLowWatermark < writeHighWatermark <= writeQueueSize:
+     *  otherwise no read could ever be accepted or served. */
     struct Config
     {
         int readQueueSize = 64;
@@ -217,6 +226,39 @@ class Controller
         bool activated = false;
     };
 
+    /** A queued request and its arrival number: the smaller, the
+     *  older (one controller-wide counter stamps both queues). */
+    struct Entry
+    {
+        std::uint64_t seq;
+        Request request;
+    };
+
+    /**
+     * One request queue (reads or writes), split by flat bank. Only two
+     * requests per bank can be FR-FCFS candidates: its oldest hit on
+     * the open row, or, in a bank without hits, its front. A bank with
+     * hits is protected: its conflicting requests, and victim refreshes
+     * that would close its row, wait until the hits drain.
+     */
+    struct Queue
+    {
+        /** Per flat bank: queued requests in arrival order. */
+        std::vector<std::vector<Entry>> banks;
+        /** Per flat bank: queued requests to that bank's open row
+         *  (kept exact by enqueue(), issue() and the issued hit). */
+        std::vector<int> hits;
+        int size = 0;
+    };
+
+    /**
+     * Issue cmd to addr at now_. Every command goes through here, so
+     * openRow_ and both queues' hit counts always match the device: ACT
+     * recounts the bank's hits, PRE zeroes them, and RD, WR and REF
+     * (which needs every bank closed) leave them alone.
+     */
+    void issue(dram::Command cmd, const dram::Address &addr);
+
     void observeActivate(const dram::Address &addr);
     /** Queue the mitigation's requested victim refreshes. */
     void queueVictims();
@@ -234,51 +276,10 @@ class Controller
     dram::Cycle demandWake() const;
     dram::Cycle closeWake() const;
 
-    /**
-     * Refresh the per-bank open-row snapshot (openRowByBank_). Valid
-     * until the next command issues; the scheduling passes read it
-     * instead of querying the device once per queue entry.
-     */
-    void refreshOpenRows() const;
-
-    /**
-     * Recompute the protected-bank bitmask: banks whose open row still
-     * has queued row-hit requests (those must not be precharged by
-     * younger conflicting requests or victim refreshes). Also refreshes
-     * the open-row snapshot. Skipped when the mask already holds the
-     * result for these arguments: stepAt() and enqueue() invalidate it,
-     * and no command issues between its first and last use within one
-     * stepAt() and the computeWake() that follows.
-     */
-    void computeProtectedBanks(bool include_reads,
-                               bool include_writes) const;
-    bool protectedBank(int flat_bank) const
-    {
-        return (protectedMask_[static_cast<std::size_t>(flat_bank) / 64] >>
-                (static_cast<std::size_t>(flat_bank) % 64)) &
-            1ULL;
-    }
-
     bool tryIssueRefresh();
     bool tryCloseIdleRow();
     bool tryIssueVictimRefresh();
     bool tryIssueDemand();
-    /**
-     * Whether the (flat bank, command slot) pair was already seen by the
-     * current FR-FCFS scan, marking it seen. Slot 0 is the row-hit
-     * column command, slot 1 the PRE or ACT a non-hit needs. Device
-     * legality and earliest-issue cycles depend only on rank,
-     * bank-group and bank state, so one answer serves every request to
-     * that bank. Each scan clears bankSeen_ first.
-     */
-    bool seenBefore(int flat_bank, bool row_hit) const
-    {
-        const auto slot = static_cast<std::size_t>(flat_bank) * 2 +
-            (row_hit ? 0 : 1);
-        const bool seen = bankSeen_[slot] != 0;
-        bankSeen_[slot] = 1;
-        return seen;
-    }
 
     dram::Organization org_;
     dram::Device device_;
@@ -301,8 +302,13 @@ class Controller
     /** Whether the current stepAt() changed any state. */
     bool acted_ = false;
 
-    std::deque<Request> readQueue_;
-    std::deque<Request> writeQueue_;
+    Queue reads_;
+    Queue writes_;
+    /** Arrival number of the next enqueued request. */
+    std::uint64_t nextSeq_ = 0;
+    /** Open row per flat bank (-1 = closed). issue() is its only
+     *  writer, so it mirrors the device without asking it. */
+    std::vector<int> openRow_;
     /** Last cycle each flat bank was used (for idle-row closing). */
     std::vector<dram::Cycle> bankLastUse_;
     std::deque<VictimRefresh> victimQueue_;
@@ -313,15 +319,6 @@ class Controller
 
     /** Reusable scratch for mitigation victim requests. */
     std::vector<mitigation::VictimRef> victimScratch_;
-    /** Reusable protected-bank bitmask (one bit per flat bank). */
-    mutable std::vector<std::uint64_t> protectedMask_;
-    /** computeProtectedBanks() arguments protectedMask_ holds
-     *  (reads | writes << 1), or -1 when stale. */
-    mutable int protectedKey_ = -1;
-    /** Per-scan (flat bank, command slot) flags; see seenBefore(). */
-    mutable std::vector<std::uint8_t> bankSeen_;
-    /** Open row per flat bank (-1 = closed); see refreshOpenRows(). */
-    mutable std::vector<int> openRowByBank_;
 
     ControllerStats stats_;
 };
