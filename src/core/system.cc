@@ -1,7 +1,9 @@
 #include "system.hh"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
+#include <string>
 
 #include "util/logging.hh"
 
@@ -29,6 +31,17 @@ System::System(SystemConfig config,
 {
     if (static_cast<int>(apps.size()) != config_.cores)
         util::fatal("System: one application profile per core required");
+    // Without an MSHR no miss is ever accepted, and a CPU clock that is
+    // not a positive finite rate never yields (or never stops yielding)
+    // CPU cycles: either way run() would spin forever.
+    if (config_.mshrPerCore < 1) {
+        util::fatal("System: mshrPerCore must be >= 1, got " +
+                    std::to_string(config_.mshrPerCore));
+    }
+    if (!std::isfinite(config_.cpuGhz) || config_.cpuGhz <= 0.0) {
+        util::fatal("System: cpuGhz must be finite and > 0, got " +
+                    std::to_string(config_.cpuGhz));
+    }
 
     for (int ch = 0; ch < config_.organization.channels; ++ch) {
         controllers_.push_back(std::make_unique<sim::Controller>(

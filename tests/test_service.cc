@@ -539,6 +539,30 @@ TEST(Engine, OutOfRangeMixIndexIsAnInternalError)
     EXPECT_EQ(ok.status, Status::Ok) << ok.message;
 }
 
+TEST(Engine, UnprogressableConfigIsAnInternalError)
+{
+    TempDir dir;
+    EngineConfig config;
+    config.storeDir = dir.path();
+    config.threads = 1;
+    Engine engine(config);
+
+    // A write drain that never ends would starve every read and hang
+    // the worker; it must be refused up front, typed, naming the field.
+    Fig10Request req = tinyFig10();
+    req.config.system.controller.writeLowWatermark = -1;
+    const Reply reply = engine.handle(
+        MsgType::Fig10, encodeRequestPayload(0, util::encode(req)));
+    EXPECT_EQ(reply.status, Status::InternalError);
+    EXPECT_NE(reply.message.find("writeLowWatermark"), std::string::npos)
+        << reply.message;
+    EXPECT_EQ(engine.memo().size(), 0u);
+
+    const Reply ok = engine.handle(
+        MsgType::Fig10, encodeRequestPayload(0, util::encode(tinyFig10())));
+    EXPECT_EQ(ok.status, Status::Ok) << ok.message;
+}
+
 TEST(Engine, DeadlineMapsToDeadlineExceeded)
 {
     TempDir dir;

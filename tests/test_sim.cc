@@ -6,10 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "dram/address_functions.hh"
 #include "mitigation/mitigation.hh"
 #include "sim/controller.hh"
 #include "sim/request.hh"
+#include "util/logging.hh"
 #include "util/rng.hh"
 
 namespace
@@ -463,6 +466,41 @@ TEST_F(ControllerTest, RefreshNotifiesMitigation)
 TEST_F(ControllerTest, IdleInitially)
 {
     EXPECT_TRUE(ctrl_.idle());
+}
+
+TEST_F(ControllerTest, RejectsConfigsThatCannotServeReads)
+{
+    // A config with no read slot, or with a write drain that never
+    // reaches its low watermark, would never serve a read: each must
+    // fail at construction with a message naming the field.
+    const auto build = [](auto &&edit) {
+        Controller::Config config;
+        edit(config);
+        return Controller(dram::table6Organization(), dram::ddr4_2400(),
+                          config);
+    };
+    const auto rejects = [&](auto &&edit, const std::string &field) {
+        try {
+            build(edit);
+            ADD_FAILURE() << "accepted bad " << field;
+        } catch (const util::FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+                << e.what();
+        }
+    };
+    using C = Controller::Config;
+    rejects([](C &c) { c.readQueueSize = 0; }, "readQueueSize");
+    rejects([](C &c) { c.readQueueSize = -3; }, "readQueueSize");
+    rejects([](C &c) { c.writeLowWatermark = -1; }, "writeLowWatermark");
+    rejects([](C &c) { c.writeLowWatermark = 48; }, "writeLowWatermark");
+    rejects([](C &c) { c.writeHighWatermark = 65; },
+            "writeHighWatermark");
+    rejects([](C &c) { c.writeQueueSize = 0; }, "writeHighWatermark");
+
+    // The boundaries construct.
+    EXPECT_NO_THROW(build([](C &c) { c.readQueueSize = 1; }));
+    EXPECT_NO_THROW(build([](C &c) { c.writeLowWatermark = 0; }));
+    EXPECT_NO_THROW(build([](C &c) { c.writeHighWatermark = 64; }));
 }
 
 } // namespace

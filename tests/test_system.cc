@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
+#include <string>
 
 #include "util/logging.hh"
 
@@ -143,6 +145,39 @@ TEST(System, AppCountMustMatchCores)
 {
     EXPECT_THROW(System(tinyConfig(2), {tinyApp(0)}, 1),
                  util::FatalError);
+}
+
+TEST(System, RejectsConfigsThatCannotProgress)
+{
+    // No MSHR means no miss is ever accepted; a CPU clock that is not
+    // a positive finite rate yields no CPU cycle (or never stops).
+    const auto rejects = [](SystemConfig config, const std::string &field) {
+        try {
+            System system(config, {tinyApp(0)}, 1);
+            ADD_FAILURE() << "accepted bad " << field;
+        } catch (const util::FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+                << e.what();
+        }
+    };
+    SystemConfig config = tinyConfig(1);
+    config.mshrPerCore = 0;
+    rejects(config, "mshrPerCore");
+    for (const double ghz :
+         {0.0, -4.0, std::numeric_limits<double>::infinity(),
+          std::numeric_limits<double>::quiet_NaN()}) {
+        config = tinyConfig(1);
+        config.cpuGhz = ghz;
+        rejects(config, "cpuGhz");
+    }
+    // A bad controller config fails here too, naming its field.
+    config = tinyConfig(1);
+    config.controller.writeLowWatermark = -1;
+    rejects(config, "writeLowWatermark");
+
+    config = tinyConfig(1);
+    config.mshrPerCore = 1;
+    EXPECT_NO_THROW(System(config, {tinyApp(0)}, 1));
 }
 
 TEST(System, TwoChannelSystemSplitsTrafficAcrossControllers)
