@@ -257,21 +257,23 @@ Controller::tryIssueVictimRefresh()
     VictimRefresh &vr = victimQueue_.front();
 
     if (!vr.activated) {
-        const auto flat = static_cast<std::size_t>(org_.flatBank(vr.addr));
-        const int open_row = openRow_[flat];
-        if (open_row == vr.addr.row) {
+        const bool open = device_.isOpen(vr.addr);
+        if (open && device_.openRow(vr.addr) == vr.addr.row) {
             // Row already open: opening it refreshed it; just finish.
             victimQueue_.pop_front();
             acted_ = true;
             return false;
         }
-        if (open_row >= 0) {
+        if (open) {
             // Let queued row hits on this bank drain first; closing
             // their row mid-burst would force extra activations (row
             // thrash). Only the actively-served queue can make
             // progress, so only it protects banks.
-            if ((drainingWrites_ ? writes_ : reads_).hits[flat] > 0)
+            const Queue &served = drainingWrites_ ? writes_ : reads_;
+            if (served.hits[static_cast<std::size_t>(
+                    org_.flatBank(vr.addr))] > 0) {
                 return false;
+            }
             if (device_.canIssue(dram::Command::PRE, vr.addr, now_))
                 issue(dram::Command::PRE, vr.addr);
             return true;
@@ -496,15 +498,15 @@ Controller::computeWake() const
     bool victim_blocks = false;
     if (!victimQueue_.empty()) {
         const VictimRefresh &vr = victimQueue_.front();
-        const auto flat = static_cast<std::size_t>(org_.flatBank(vr.addr));
-        const int open_row = openRow_[flat];
-        const bool open = open_row >= 0;
+        const bool open = device_.isOpen(vr.addr);
         if (vr.activated) {
             victim_blocks = true;
             wake = std::min(wake, device_.earliest(dram::Command::PRE,
                                                    vr.addr, now_));
-        } else if (open && open_row != vr.addr.row) {
-            if ((drainingWrites_ ? writes_ : reads_).hits[flat] > 0) {
+        } else if (open && device_.openRow(vr.addr) != vr.addr.row) {
+            const Queue &served = drainingWrites_ ? writes_ : reads_;
+            if (served.hits[static_cast<std::size_t>(
+                    org_.flatBank(vr.addr))] > 0) {
                 // Deferring to demand traffic; the protection can only
                 // change when something else acts.
             } else {
