@@ -345,6 +345,7 @@ Controller::tryIssueDemand()
     for (std::size_t flat = 0; flat < banks; ++flat) {
         if (queue.hits[flat] == 0)
             continue;
+        // hits > 0: the bank holds a request to its open row.
         const std::vector<Entry> &bank = queue.banks[flat];
         std::size_t i = 0;
         while (bank[i].request.decoded.row != openRow_[flat])

@@ -170,11 +170,6 @@ TEST(System, RejectsConfigsThatCannotProgress)
         config.cpuGhz = ghz;
         rejects(config, "cpuGhz");
     }
-    // A bad controller config fails here too, naming its field.
-    config = tinyConfig(1);
-    config.controller.writeLowWatermark = -1;
-    rejects(config, "writeLowWatermark");
-
     config = tinyConfig(1);
     config.mshrPerCore = 1;
     EXPECT_NO_THROW(System(config, {tinyApp(0)}, 1));
