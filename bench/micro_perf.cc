@@ -162,9 +162,10 @@ BENCHMARK(BM_ExperimentStep);
 void
 BM_SystemRun(benchmark::State &state)
 {
-    // A whole multi-channel system run per execution engine: arg 0 =
-    // the reference lockstep engine, 1 = serial epochs. Results are
-    // bit-identical across args; only wall-clock should move.
+    // A whole multi-channel system run: arg 0 = the reference without
+    // the idle fast-forward (SystemConfig::lockstep), 1 = production.
+    // Results are bit-identical across args; only wall-clock should
+    // move.
     core::SystemConfig config;
     config.cores = 4;
     config.organization.rows = 512;
@@ -200,7 +201,8 @@ BM_SystemRunSaturated(benchmark::State &state)
     // The saturated end of Figure 10: eight cores on mix 47 over one
     // channel with increased refresh at HCfirst 69.2k keep the read
     // queue full, so most CPU cycles are back-pressured retries
-    // (BM_SystemRun's mix 0 never fills a queue). Serial epochs.
+    // (BM_SystemRun's mix 0 never fills a queue). The idle
+    // fast-forward is on, as in production.
     core::SystemConfig config;
     config.organization.rows = 512;
     config.llcBytes = 1024 * 1024;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <string>
 
 #include "util/logging.hh"
@@ -124,7 +123,6 @@ System::sendFromCore(int core_id, std::uint64_t addr, bool write,
                       config_.mshrPerCore) {
         return false;
     }
-    controller.advanceTo(chanSyncTarget_);
     const bool has_space = write ? controller.writeQueueSpace() > 0
                                  : controller.readQueueSpace() > 0;
     if (!has_space)
@@ -152,10 +150,6 @@ System::sendFromCore(int core_id, std::uint64_t addr, bool write,
             util::fatal("System::sendFromCore: demand read rejected "
                         "despite free read-queue slot");
         }
-        // A queued read lowers the earliest cycle this channel can
-        // return data to the CPU; the running epoch must not outrun it.
-        epochHorizon_ =
-            std::min(epochHorizon_, controller.cpuInteractionBound());
     }
 
     // Dirty victim goes back to memory (posted; best effort if the
@@ -168,7 +162,6 @@ System::sendFromCore(int core_id, std::uint64_t addr, bool write,
         wb.type = sim::Request::Type::Write;
         auto &victim_controller = *controllers_[static_cast<std::size_t>(
             mapper_.decodeChannel(wb.addr))];
-        victim_controller.advanceTo(chanSyncTarget_);
         if (!victim_controller.enqueue(wb))
             victim_controller.notePostedWriteDrop();
     }
@@ -201,14 +194,11 @@ System::takeCpuTicks()
 }
 
 int
-System::syncChannels(dram::Cycle target)
+System::queueSpace() const
 {
     int space = 0;
-    for (auto &controller : controllers_) {
-        controller->advanceTo(target);
-        space += controller->readQueueSpace() +
-            controller->writeQueueSpace();
-    }
+    for (const auto &controller : controllers_)
+        space += controller->readQueueSpace() + controller->writeQueueSpace();
     return space;
 }
 
@@ -224,79 +214,33 @@ System::deviceNow() const
 void
 System::step()
 {
+    bool returned = false;
     for (auto &controller : controllers_) {
         controller->tick();
-        controller->drainCompleted([this](int core, std::uint32_t slot) {
+        controller->drainCompleted([&](int core, std::uint32_t slot) {
             --mshrInUse_[static_cast<std::size_t>(core)];
             cores_[static_cast<std::size_t>(core)]->complete(slot);
+            returned = true;
         });
     }
-    chanSyncTarget_ = controllers_.front()->now();
-    for (int ticks = takeCpuTicks(); ticks > 0; --ticks)
-        cpuTick();
-}
-
-void
-System::advanceEpoch(const std::function<bool()> &stop)
-{
-    const dram::Cycle start = controllers_.front()->now();
-    dram::Cycle bound = std::numeric_limits<dram::Cycle>::max();
-    for (const auto &controller : controllers_)
-        bound = std::min(bound, controller->cpuInteractionBound());
-
-    if (bound <= start) {
-        // A read's data can return this very cycle: run one reference
-        // lockstep cycle, which drains the channels in canonical order.
-        step();
+    const int ticks = takeCpuTicks();
+    // An idle CPU side repeats its last tick until a read returns, a
+    // queue gains space (queue space only grows while no core enqueues,
+    // so an unchanged total means no queue changed) or an LLC hit
+    // completes: until then, count the cycles instead of running them.
+    if (idle_ && !returned && queueSpace() == idleSpace_ &&
+        (hitQueue_.empty() || hitQueue_.front().at > cpuCycle_ + ticks)) {
+        cpuCycle_ += ticks;
+        for (auto &c : cores_)
+            c->idleCycles(ticks);
         return;
     }
-
-    // No channel can return a read to the CPU before `bound`: run the
-    // CPU side ahead and let each channel catch up only when the CPU
-    // touches it (sendFromCore syncs it to chanSyncTarget_). During CPU
-    // device-step t that target is t + 1, exactly where the lockstep
-    // engine would have the channel when step t's requests land.
-    epochHorizon_ = std::min(bound, start + kEpochCapCycles);
-    dram::Cycle t = start;
-    // Set by a CPU tick that made no progress. No read from memory
-    // completes inside an epoch, so until an LLC hit completes or a
-    // rejected send could be accepted (its channel's queue space grew),
-    // every later tick would repeat it exactly: each device step then
-    // only advances the channels to where a send would sync them and
-    // counts the idle CPU cycles. Queue space only grows while no core
-    // enqueues, so an unchanged total means no queue changed.
-    bool frozen = false;
-    int frozen_space = 0;
-    do {
-        chanSyncTarget_ = t + 1;
-        const int ticks = takeCpuTicks();
-        if (frozen) {
-            frozen = syncChannels(t + 1) == frozen_space &&
-                (hitQueue_.empty() ||
-                 hitQueue_.front().at > cpuCycle_ + ticks);
-        }
-        if (frozen) {
-            cpuCycle_ += ticks;
-            for (auto &c : cores_)
-                c->idleCycles(ticks);
-        } else {
-            bool progress = true;
-            for (int i = 0; i < ticks; ++i)
-                progress = cpuTick();
-            if (!progress) {
-                frozen = true;
-                frozen_space = syncChannels(t + 1);
-            }
-        }
-        ++t;
-    } while (!(stop && stop()) && t < epochHorizon_);
-    // Close the epoch at t: every channel catches up to the CPU. No
-    // read's data returns during the catch-up — deadlines sit at or
-    // beyond the horizon, and advanceTo(t) only executes cycles below
-    // t — so the next serial step delivers them.
-    for (auto &controller : controllers_)
-        controller->advanceTo(t);
-    chanSyncTarget_ = t;
+    bool progress = true;
+    for (int i = 0; i < ticks; ++i)
+        progress = cpuTick();
+    idle_ = !progress && !config_.lockstep;
+    if (idle_)
+        idleSpace_ = queueSpace();
 }
 
 SystemResult
@@ -326,18 +270,8 @@ System::run(std::int64_t instructions_per_core,
                             "a DRAM channel)");
             }
         };
-        if (config_.lockstep) {
-            while (!all_retired(targets)) {
-                step();
-                check_converged();
-            }
-            return;
-        }
-        const std::function<bool()> stop = [&] {
-            return all_retired(targets);
-        };
         while (!all_retired(targets)) {
-            advanceEpoch(stop);
+            step();
             check_converged();
         }
     };

@@ -11,24 +11,20 @@
  * address (see sim::AddressMapper) and the System routes the request
  * to that channel's controller.
  *
- * Two execution engines produce bit-identical results: the reference
- * lockstep engine (step(): every controller ticks one device cycle,
- * then the CPU side runs) and the epoch engine (advanceEpoch(): the
- * CPU side runs ahead up to the next cycle at which any controller
- * can return a read to it, and each channel catches up only at
- * request-enqueue points and at the epoch's end; while every core is
- * stalled the engine skips the CPU ticks and only advances the
- * channels). See docs/ARCHITECTURE.md, "Threading model", for the
- * determinism argument. SystemConfig::lockstep forces the reference
- * engine; it does not affect results, so it is not part of the
- * serialized config.
+ * One engine, step(), advances the whole system one device cycle:
+ * every controller ticks and hands its returned reads to their cores,
+ * then the CPU side runs the cycle's share of CPU cycles. While every
+ * core is stalled and nothing it waits on can change, step() counts
+ * those CPU cycles instead of running them. See docs/ARCHITECTURE.md,
+ * "Threading model", for why that is exact. SystemConfig::lockstep
+ * turns the fast-forward off; it does not affect results, so it is not
+ * part of the serialized config.
  */
 
 #ifndef ROWHAMMER_CORE_SYSTEM_HH
 #define ROWHAMMER_CORE_SYSTEM_HH
 
 #include <deque>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -68,8 +64,9 @@ struct SystemConfig
      *  because the benchmark driver still assigns it; its next change
      *  drops that assignment and this member. */
     int threads = 1;
-    /** Force the reference lockstep engine (tests pin the epoch engine
-     *  against it). Execution-only; not serialized. */
+    /** Run every CPU cycle, even while the CPU side is idle: the plain
+     *  stepping the tests pin step()'s idle fast-forward against.
+     *  Execution-only; not serialized. */
     bool lockstep = false;
 
     /** The wire schema (run-description bytes; see
@@ -155,27 +152,16 @@ class System
                      std::int64_t warmup_instructions = 0);
 
     /**
-     * Reference lockstep engine: advance every controller one device
-     * clock cycle plus the corresponding CPU cycles (the 4 GHz :
-     * device-clock ratio is accumulated fractionally); each channel's
-     * returned reads reach their cores right after its cycle. Exposed
-     * for microbenchmarks and custom drivers.
+     * Advance the system one device clock cycle: every controller ticks
+     * and hands its returned reads to their cores, in channel order,
+     * then the CPU side runs the corresponding CPU cycles (the 4 GHz :
+     * device-clock ratio is accumulated fractionally). Once a CPU cycle
+     * makes no progress, later steps only count their CPU cycles until
+     * a read returns, a queue gains space or an LLC hit is due (unless
+     * SystemConfig::lockstep). run() calls this; exposed for
+     * microbenchmarks and custom drivers.
      */
     void step();
-
-    /**
-     * Epoch engine: advance the whole system by one epoch — up to the
-     * earliest cycle at which any controller can return a read's data
-     * (or the epoch cap). Falls back to a single step() whenever one
-     * is due; only step() delivers reads to the cores, in canonical
-     * channel order, and results are bit-identical to the lockstep
-     * engine. `stop` is polled once per device step (like run()'s
-     * retirement check in lockstep mode) and ends the epoch early.
-     * Once a CPU tick makes no progress, the following device steps
-     * only advance the channels and count idle CPU cycles, until a
-     * channel's queue space changes or an LLC hit is due.
-     */
-    void advanceEpoch(const std::function<bool()> &stop = {});
 
   private:
     struct PendingHit
@@ -192,9 +178,8 @@ class System
     bool cpuTick();
     /** CPU cycles owed to one device step (budget accumulation). */
     int takeCpuTicks();
-    /** Advance every channel to `target`; returns the free read- plus
-     *  write-queue space summed over channels. */
-    int syncChannels(dram::Cycle target);
+    /** Free read- plus write-queue space summed over channels. */
+    int queueSpace() const;
     /** Furthest device cycle any channel has reached. */
     dram::Cycle deviceNow() const;
     /** Per-channel stats folded into one aggregate (see
@@ -220,20 +205,11 @@ class System
     double cpuRatio_ = 1.0;
     /** Fractional CPU cycles owed to the next step(). */
     double cpuBudget_ = 0.0;
-
-    /**
-     * Cycle a channel must be advanced to before the CPU side may
-     * inspect or enqueue into it — the position the lockstep engine
-     * would have it at when the current CPU device-step's requests
-     * land. Maintained by both engines; sendFromCore syncs on demand.
-     */
-    dram::Cycle chanSyncTarget_ = 0;
-    /** Current epoch's exclusive horizon. Shrinks when a read is
-     *  enqueued. */
-    dram::Cycle epochHorizon_ = 0;
-    /** Upper bound on epoch length, so an idle memory system still
-     *  surfaces run()'s non-convergence guard periodically. */
-    static constexpr dram::Cycle kEpochCapCycles = 65536;
+    /** The last CPU cycle run made no progress (never set under
+     *  SystemConfig::lockstep): step() may fast-forward. */
+    bool idle_ = false;
+    /** queueSpace() when the CPU side went idle. */
+    int idleSpace_ = 0;
 };
 
 } // namespace rowhammer::core

@@ -74,19 +74,6 @@ Controller::writeQueueSpace() const
     return config_.writeQueueSize - writes_.size;
 }
 
-dram::Cycle
-Controller::cpuInteractionBound() const
-{
-    dram::Cycle bound = std::numeric_limits<dram::Cycle>::max();
-    if (!completions_.empty())
-        bound = std::min(bound, completions_.front().at);
-    // Any read still queued can complete no earlier than a RD issued
-    // this very cycle; writes and victim refreshes return nothing.
-    if (reads_.size > 0)
-        bound = std::min(bound, device_.readDataAt(now_));
-    return bound;
-}
-
 bool
 Controller::enqueue(Request request)
 {

@@ -156,21 +156,6 @@ class Controller
     [[nodiscard]] int writeQueueSpace() const;
 
     /**
-     * Conservative lower bound on the earliest cycle >= now() at which
-     * a read's data can return, assuming no further enqueues.
-     * Completions are created either at enqueue time (write-forwarded
-     * reads, ready the next cycle) or when a RD command issues — at
-     * the earliest device().readDataAt(now()) for an already-queued
-     * read, and readDataAt is monotone in the issue cycle — so with an
-     * empty read queue and completion heap nothing can reach the CPU
-     * before the next enqueue. core::System's epoch engine runs the CPU
-     * side ahead strictly below the minimum of these bounds and
-     * re-shrinks the horizon after each read enqueue (see
-     * docs/ARCHITECTURE.md, "Threading model").
-     */
-    dram::Cycle cpuInteractionBound() const;
-
-    /**
      * Count a best-effort posted write that the owner chose to drop on
      * back-pressure instead of retrying (core::System's LLC writebacks
      * are fire-and-forget; the dirty data vanishes but the simulation

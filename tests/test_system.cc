@@ -373,8 +373,8 @@ record(core::System &system, std::int64_t instructions,
     return out;
 }
 
-/** One fixed workload under a chosen engine: the reference lockstep
- *  walk or serial epochs. */
+/** One fixed workload, with step()'s idle fast-forward or, under
+ *  `lockstep`, without it (the reference). */
 EngineRun
 runEngine(int channels, bool lockstep, bool with_para)
 {
@@ -405,8 +405,7 @@ runEngine(int channels, bool lockstep, bool with_para)
 
 /**
  * Eight cores on the benchmark's saturating mix 47 over one channel:
- * the read queue stays full, so most epoch steps take the idle
- * fast-forward.
+ * the read queue stays full, so most steps take the idle fast-forward.
  */
 EngineRun
 runSaturated(core::SystemConfig config, bool lockstep,
@@ -496,7 +495,7 @@ expectIdentical(const EngineRun &a, const EngineRun &b,
 
 } // namespace engines
 
-TEST(System, SerialEpochsMatchLockstepTwoChannels)
+TEST(System, FastForwardMatchesLockstepTwoChannels)
 {
     for (const bool with_para : {false, true}) {
         const auto reference =
@@ -509,7 +508,7 @@ TEST(System, SerialEpochsMatchLockstepTwoChannels)
     }
 }
 
-TEST(System, SerialEpochsMatchLockstepFourChannels)
+TEST(System, FastForwardMatchesLockstepFourChannels)
 {
     for (const bool with_para : {false, true}) {
         const auto reference =
@@ -520,7 +519,7 @@ TEST(System, SerialEpochsMatchLockstepFourChannels)
     }
 }
 
-TEST(System, SerialEpochsMatchLockstepSaturated)
+TEST(System, FastForwardMatchesLockstepSaturated)
 {
     using mitigation::Kind;
     // Table 6 system with fig10's 512 rows and 1 MB LLC.
@@ -561,9 +560,10 @@ TEST(System, SerialEpochsMatchLockstepSaturated)
 
 TEST(System, PinnedCountersTwoChannelPara)
 {
-    // Absolute pins for both engines. The SerialEpochsMatchLockstep
-    // tests compare the engines only to each other, so a slip in how
-    // reads complete that both engines share would still pass them.
+    // Absolute pins with and without the idle fast-forward. The
+    // FastForwardMatchesLockstep tests compare the two only to each
+    // other, so a slip in how reads complete that both share would
+    // still pass them.
     for (const bool lockstep : {false, true}) {
         SCOPED_TRACE("lockstep=" + std::to_string(lockstep));
         core::SystemConfig config;
