@@ -100,8 +100,7 @@ System::sendFromCore(int core_id, std::uint64_t addr, bool write,
 
     // LLC hits are served entirely by the cache: memory-queue state
     // must not reject them (the seed gated every access, hits
-    // included, on the demand channel's read queue), and skipping the
-    // controller entirely spares the common case a channel sync.
+    // included, on the demand channel's read queue).
     if (llc_.contains(addr)) {
         (void)llc_.access(addr, write); // Guaranteed hit.
         if (!write) {
