@@ -406,6 +406,10 @@ runEngine(int channels, bool lockstep, bool with_para)
 /**
  * Eight cores on the benchmark's saturating mix 47 over one channel:
  * the read queue stays full, so most steps take the idle fast-forward.
+ * The reference (`lockstep`) also runs the per-tick controller
+ * (Controller::Config::eventDriven = false), so a comparison pins both
+ * production engines, step()'s fast-forward and the controller's
+ * event-driven jumps, against plain stepping under System load.
  */
 EngineRun
 runSaturated(core::SystemConfig config, bool lockstep,
@@ -413,6 +417,7 @@ runSaturated(core::SystemConfig config, bool lockstep,
              std::int64_t instructions)
 {
     config.lockstep = lockstep;
+    config.controller.eventDriven = !lockstep;
     const auto mixes =
         workload::mixCatalogue(config.cores, 2 * 1024 * 1024);
     core::System system(config, mixes[47].apps, 3);
