@@ -144,6 +144,15 @@ Controller::issue(dram::Command cmd, const dram::Address &addr)
     }
 }
 
+bool
+Controller::legalOrWake(dram::Command cmd, const dram::Address &addr)
+{
+    if (device_.canIssue(cmd, addr, now_))
+        return true;
+    wakeBy(device_.earliest(cmd, addr, now_));
+    return false;
+}
+
 dram::Address
 Controller::victimAddress(const mitigation::VictimRef &ref) const
 {
@@ -185,15 +194,17 @@ Controller::tryIssueRefresh()
         refreshPending_ = true;
         refreshRanksLeft_ = org_.ranks;
     }
-    if (!refreshPending_)
+    if (!refreshPending_) {
+        wakeBy(nextRefreshAt_);
         return false;
+    }
 
     // Close any open bank first (one command per cycle).
     for (int flat = 0; flat < org_.totalBanks(); ++flat) {
         if (openRow_[static_cast<std::size_t>(flat)] < 0)
             continue;
         const dram::Address addr = org_.bankAddress(flat);
-        if (device_.canIssue(dram::Command::PRE, addr, now_))
+        if (legalOrWake(dram::Command::PRE, addr))
             issue(dram::Command::PRE, addr);
         return true; // Or wait for the PRE to become legal.
     }
@@ -202,7 +213,7 @@ Controller::tryIssueRefresh()
     // back (with one rank this is exactly the historical single REF).
     dram::Address addr;
     addr.rank = org_.ranks - refreshRanksLeft_;
-    if (!device_.canIssue(dram::Command::REF, addr, now_))
+    if (!legalOrWake(dram::Command::REF, addr))
         return true; // Banks closed but timing not met yet; keep waiting.
 
     issue(dram::Command::REF, addr);
@@ -261,11 +272,11 @@ Controller::tryIssueVictimRefresh()
                     org_.flatBank(vr.addr))] > 0) {
                 return false;
             }
-            if (device_.canIssue(dram::Command::PRE, vr.addr, now_))
+            if (legalOrWake(dram::Command::PRE, vr.addr))
                 issue(dram::Command::PRE, vr.addr);
             return true;
         }
-        if (device_.canIssue(dram::Command::ACT, vr.addr, now_)) {
+        if (legalOrWake(dram::Command::ACT, vr.addr)) {
             issue(dram::Command::ACT, vr.addr);
             vr.activated = true;
             ++stats_.mitigationRefreshes;
@@ -274,7 +285,7 @@ Controller::tryIssueVictimRefresh()
         return true;
     }
 
-    if (device_.canIssue(dram::Command::PRE, vr.addr, now_)) {
+    if (legalOrWake(dram::Command::PRE, vr.addr)) {
         issue(dram::Command::PRE, vr.addr);
         victimQueue_.pop_front();
     }
@@ -290,12 +301,14 @@ Controller::tryCloseIdleRow()
     // path.
     for (int flat = 0; flat < org_.totalBanks(); ++flat) {
         const auto i = static_cast<std::size_t>(flat);
-        if (openRow_[i] < 0 ||
-            now_ - bankLastUse_[i] < config_.rowIdleCloseCycles) {
+        if (openRow_[i] < 0)
+            continue;
+        if (now_ - bankLastUse_[i] < config_.rowIdleCloseCycles) {
+            wakeBy(bankLastUse_[i] + config_.rowIdleCloseCycles);
             continue;
         }
         const dram::Address addr = org_.bankAddress(flat);
-        if (device_.canIssue(dram::Command::PRE, addr, now_)) {
+        if (legalOrWake(dram::Command::PRE, addr)) {
             issue(dram::Command::PRE, addr);
             return true;
         }
@@ -306,12 +319,15 @@ Controller::tryCloseIdleRow()
 bool
 Controller::tryIssueDemand()
 {
-    // Write-drain hysteresis.
-    if (drainingWrites_) {
-        if (writes_.size <= config_.writeLowWatermark)
-            drainingWrites_ = false;
-    } else if (writes_.size >= config_.writeHighWatermark) {
-        drainingWrites_ = true;
+    // Write-drain hysteresis. A flip changes which queue protects banks
+    // from victim refreshes; tryIssueVictimRefresh has already made that
+    // test this cycle, so the next cycle must run.
+    const bool draining = drainingWrites_
+        ? writes_.size > config_.writeLowWatermark
+        : writes_.size >= config_.writeHighWatermark;
+    if (draining != drainingWrites_) {
+        drainingWrites_ = draining;
+        wakeBy(now_ + 1);
     }
 
     const bool serve_writes =
@@ -338,7 +354,7 @@ Controller::tryIssueDemand()
         while (bank[i].request.decoded.row != openRow_[flat])
             ++i;
         if (bank[i].seq < best_seq &&
-            device_.canIssue(column, bank[i].request.decoded, now_)) {
+            legalOrWake(column, bank[i].request.decoded)) {
             best_seq = bank[i].seq;
             best_bank = flat;
             best_index = i;
@@ -377,7 +393,7 @@ Controller::tryIssueDemand()
         const dram::Command cmd = openRow_[flat] >= 0
             ? dram::Command::PRE
             : dram::Command::ACT;
-        if (device_.canIssue(cmd, bank.front().request.decoded, now_)) {
+        if (legalOrWake(cmd, bank.front().request.decoded)) {
             best_seq = bank.front().seq;
             best_bank = flat;
         }
@@ -399,6 +415,7 @@ void
 Controller::stepAt()
 {
     acted_ = false;
+    wake_ = std::numeric_limits<dram::Cycle>::max();
 
     // One command per cycle, in priority order: auto-refresh, victim
     // refreshes, demand traffic, idle-row housekeeping.
@@ -408,117 +425,6 @@ Controller::stepAt()
                 tryCloseIdleRow();
         }
     }
-}
-
-dram::Cycle
-Controller::demandWake() const
-{
-    // drainingWrites_ is current here: tryIssueDemand ran (and applied
-    // its hysteresis) in the step that preceded this wake computation.
-    const bool serve_writes =
-        drainingWrites_ || (reads_.size == 0 && writes_.size > 0);
-    const Queue &queue = serve_writes ? writes_ : reads_;
-    dram::Cycle wake = std::numeric_limits<dram::Cycle>::max();
-    for (std::size_t flat = 0; flat < queue.banks.size(); ++flat) {
-        const std::vector<Entry> &bank = queue.banks[flat];
-        if (bank.empty())
-            continue;
-        // The command tryIssueDemand would ask this bank about (a
-        // protected bank's non-hits are never asked). earliest() reads
-        // only the rank, bank group and bank, so any of the bank's
-        // requests serves as the address.
-        dram::Command cmd = dram::Command::ACT;
-        if (queue.hits[flat] > 0)
-            cmd = serve_writes ? dram::Command::WR : dram::Command::RD;
-        else if (openRow_[flat] >= 0)
-            cmd = dram::Command::PRE;
-        wake = std::min(wake, device_.earliest(
-                                  cmd, bank.front().request.decoded, now_));
-    }
-    return wake;
-}
-
-dram::Cycle
-Controller::closeWake() const
-{
-    dram::Cycle wake = std::numeric_limits<dram::Cycle>::max();
-    for (int flat = 0; flat < org_.totalBanks(); ++flat) {
-        const auto i = static_cast<std::size_t>(flat);
-        if (openRow_[i] < 0)
-            continue;
-        const dram::Cycle ready = std::max(
-            bankLastUse_[i] + config_.rowIdleCloseCycles,
-            device_.earliest(dram::Command::PRE, org_.bankAddress(flat),
-                             now_));
-        wake = std::min(wake, ready);
-    }
-    return wake;
-}
-
-dram::Cycle
-Controller::computeWake() const
-{
-    dram::Cycle wake = std::numeric_limits<dram::Cycle>::max();
-    if (refreshPending_) {
-        // A pending refresh blocks every other command stream; the next
-        // event is the blocked PRE (first open bank, same scan order as
-        // tryIssueRefresh) or, with all banks closed, REF legality.
-        for (int flat = 0; flat < org_.totalBanks(); ++flat) {
-            if (openRow_[static_cast<std::size_t>(flat)] < 0)
-                continue;
-            return std::max(
-                std::min(wake, device_.earliest(dram::Command::PRE,
-                                                org_.bankAddress(flat),
-                                                now_)),
-                now_);
-        }
-        dram::Address ref_addr{};
-        ref_addr.rank = org_.ranks - refreshRanksLeft_;
-        return std::max(
-            std::min(wake, device_.earliest(dram::Command::REF,
-                                            ref_addr, now_)),
-            now_);
-    }
-
-    // The refresh timer is the one event that always recurs.
-    wake = std::min(wake, nextRefreshAt_);
-
-    bool victim_blocks = false;
-    if (!victimQueue_.empty()) {
-        const VictimRefresh &vr = victimQueue_.front();
-        const bool open = device_.isOpen(vr.addr);
-        if (vr.activated) {
-            victim_blocks = true;
-            wake = std::min(wake, device_.earliest(dram::Command::PRE,
-                                                   vr.addr, now_));
-        } else if (open && device_.openRow(vr.addr) != vr.addr.row) {
-            const Queue &served = drainingWrites_ ? writes_ : reads_;
-            if (served.hits[static_cast<std::size_t>(
-                    org_.flatBank(vr.addr))] > 0) {
-                // Deferring to demand traffic; the protection can only
-                // change when something else acts.
-            } else {
-                victim_blocks = true;
-                wake = std::min(wake,
-                                device_.earliest(dram::Command::PRE,
-                                                 vr.addr, now_));
-            }
-        } else if (open) {
-            // Row already open == victim row would have been popped (an
-            // action) by the step that just ran; force a slow re-check.
-            return now_;
-        } else {
-            victim_blocks = true;
-            wake = std::min(wake, device_.earliest(dram::Command::ACT,
-                                                   vr.addr, now_));
-        }
-    }
-
-    if (!victim_blocks) {
-        wake = std::min(wake, demandWake());
-        wake = std::min(wake, closeWake());
-    }
-    return std::max(wake, now_);
 }
 
 void
@@ -535,8 +441,7 @@ Controller::advanceTo(dram::Cycle target)
         stepAt();
         ++stats_.cycles;
         ++now_;
-        if (config_.eventDriven)
-            wake_ = acted_ ? now_ : computeWake();
+        wake_ = acted_ ? now_ : std::max(wake_, now_);
     }
     // A read's data has returned once its cycle has executed. Nothing
     // the decision logic reads depends on it, so it is no wake event.

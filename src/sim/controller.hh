@@ -12,15 +12,16 @@
  * scheduling pass asks the device one question per bank, about that
  * bank's oldest candidate, instead of one per queued request.
  *
- * The engine is event-driven: after a cycle in which no command issued,
- * the controller computes the earliest future cycle at which anything
- * can change (next auto-refresh, the blocked command's timing expiry,
- * FR-FCFS candidate legality, row-idle-close deadline) and advances to
- * it in one jump.
- * The decision logic itself is unchanged from the per-cycle engine, so
- * command streams and statistics are cycle-for-cycle identical; set
- * Config::eventDriven = false to force the reference per-cycle walk
- * (the golden regression tests pin the two against each other).
+ * The engine is event-driven. The scan that decides a cycle also
+ * records when its outcome can next change: for each candidate command
+ * it finds not yet legal, the cycle the device allows it
+ * (Device::earliest), and otherwise the refresh timer and each open
+ * row's idle-close deadline. After a cycle in which nothing issued, the
+ * controller jumps to the earliest of those. A wake no later than the
+ * next state change is always exact: the per-cycle reference
+ * (Config::eventDriven = false) runs the same scan every cycle, and the
+ * event engine only skips cycles. The golden regression tests and the
+ * saturated System test pin the two against each other.
  */
 
 #ifndef ROWHAMMER_SIM_CONTROLLER_HH
@@ -126,7 +127,8 @@ class Controller
          *  policy with timeout). */
         int rowIdleCloseCycles = 200;
         /** Next-event jumps (default). false = reference per-cycle
-         *  engine; identical results, used by the golden tests. */
+         *  engine; identical results. The golden tests and
+         *  System.FastForwardMatchesLockstepSaturated compare the two. */
         bool eventDriven = true;
     };
 
@@ -250,16 +252,16 @@ class Controller
     /** Device address of a mitigation victim reference. */
     dram::Address victimAddress(const mitigation::VictimRef &ref) const;
 
-    /** One cycle of decision logic at now_; sets acted_. */
+    /** One cycle of decision logic at now_; sets acted_, and sets
+     *  wake_ to the earliest cycle after now_ at which a blocked branch
+     *  it reached can act. */
     void stepAt();
-    /**
-     * Earliest cycle >= now_ at which any state can change, given that
-     * the cycle just executed did nothing. Mirrors the priority chain
-     * of stepAt() branch for branch.
-     */
-    dram::Cycle computeWake() const;
-    dram::Cycle demandWake() const;
-    dram::Cycle closeWake() const;
+    /** Lower wake_ to `at`. */
+    void wakeBy(dram::Cycle at) { wake_ = std::min(wake_, at); }
+    /** True iff cmd to addr can issue at now_; otherwise lowers wake_
+     *  to the cycle the device allows it. The scan asks every legality
+     *  question through here, so each blocked candidate sets a wake. */
+    bool legalOrWake(dram::Command cmd, const dram::Address &addr);
 
     bool tryIssueRefresh();
     bool tryCloseIdleRow();
@@ -281,8 +283,9 @@ class Controller
     int refreshRanksLeft_ = 0;
     bool drainingWrites_ = false;
 
-    /** No state can change before this cycle (event-engine cache);
-     *  invalidated by enqueue() and setMitigation(). */
+    /** No state can change before this cycle: stepAt() computes it,
+     *  advanceTo() jumps to it, and enqueue() and setMitigation() reset
+     *  it to 0. The per-cycle reference ignores it. */
     dram::Cycle wake_ = 0;
     /** Whether the current stepAt() changed any state. */
     bool acted_ = false;
