@@ -1,6 +1,5 @@
 #include "system.hh"
 
-#include <algorithm>
 #include <cmath>
 #include <string>
 
@@ -201,15 +200,6 @@ System::queueSpace() const
     return space;
 }
 
-dram::Cycle
-System::deviceNow() const
-{
-    dram::Cycle now = 0;
-    for (const auto &controller : controllers_)
-        now = std::max(now, controller->now());
-    return now;
-}
-
 void
 System::step()
 {
@@ -256,22 +246,17 @@ System::run(std::int64_t instructions_per_core,
 
     auto run_until = [&](const std::vector<std::int64_t> &targets) {
         cpuBudget_ = 0.0;
-        // Guard against pathological configurations. Channel-aware:
-        // deviceNow() takes the max over all channels, so a saturated
-        // non-zero channel trips the fatal too.
+        // Guard against pathological configurations. Each step()
+        // advances every channel by one device cycle.
         const std::int64_t max_device_cycles =
             2LL * 1000 * 1000 * 1000;
-        const dram::Cycle start = deviceNow();
-        const auto check_converged = [&] {
-            if (deviceNow() - start > max_device_cycles) {
+        for (std::int64_t steps = 1; !all_retired(targets); ++steps) {
+            step();
+            if (steps > max_device_cycles) {
                 util::fatal("System::run: simulation did not converge "
                             "(mitigation overhead may be saturating "
                             "a DRAM channel)");
             }
-        };
-        while (!all_retired(targets)) {
-            step();
-            check_converged();
         }
     };
 

@@ -180,8 +180,6 @@ class System
     int takeCpuTicks();
     /** Free read- plus write-queue space summed over channels. */
     int queueSpace() const;
-    /** Furthest device cycle any channel has reached. */
-    dram::Cycle deviceNow() const;
     /** Per-channel stats folded into one aggregate (see
      *  ControllerStats::addChannel). */
     sim::ControllerStats aggregateMemStats() const;
