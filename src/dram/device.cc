@@ -173,7 +173,6 @@ Device::issue(Command cmd, const Address &addr, Cycle at)
         g.nextAct = std::max(g.nextAct, at + timing_.tRRDL);
         r.nextAct = std::max(r.nextAct, at + timing_.tRRDS);
         r.actWindow.push(at);
-        ++stats_.acts;
         break;
       }
       case Command::PRE: {
@@ -181,7 +180,6 @@ Device::issue(Command cmd, const Address &addr, Cycle at)
         b.open = false;
         b.row = -1;
         b.nextAct = std::max(b.nextAct, at + timing_.tRP);
-        ++stats_.pres;
         break;
       }
       case Command::PREA: {
@@ -195,7 +193,6 @@ Device::issue(Command cmd, const Address &addr, Cycle at)
                 b.nextAct = std::max(b.nextAct, at + timing_.tRP);
             }
         }
-        ++stats_.pres;
         break;
       }
       case Command::RD: {
@@ -206,7 +203,6 @@ Device::issue(Command cmd, const Address &addr, Cycle at)
         g.nextWr = std::max(g.nextWr, at + timing_.tCCDL);
         r.nextRd = std::max(r.nextRd, at + timing_.tCCDS);
         r.nextWr = std::max(r.nextWr, at + timing_.readToWrite());
-        ++stats_.reads;
         break;
       }
       case Command::WR: {
@@ -218,12 +214,10 @@ Device::issue(Command cmd, const Address &addr, Cycle at)
         g.nextWr = std::max(g.nextWr, at + timing_.tCCDL);
         r.nextRd = std::max(r.nextRd, at + timing_.writeToReadS());
         r.nextWr = std::max(r.nextWr, at + timing_.tCCDS);
-        ++stats_.writes;
         break;
       }
       case Command::REF: {
         r.nextAny = at + timing_.tRFC;
-        ++stats_.refreshes;
         break;
       }
       default:

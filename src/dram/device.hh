@@ -23,16 +23,6 @@
 namespace rowhammer::dram
 {
 
-/** Per-command issue counters, exposed for stats and tests. */
-struct DeviceStats
-{
-    std::int64_t acts = 0;
-    std::int64_t pres = 0;
-    std::int64_t reads = 0;
-    std::int64_t writes = 0;
-    std::int64_t refreshes = 0;
-};
-
 /**
  * One DRAM channel: geometry + timing + state. All cycle arguments are in
  * device clock cycles and must be non-decreasing across issue() calls.
@@ -47,7 +37,6 @@ class Device
 
     const Organization &organization() const { return org_; }
     const TimingSpec &timing() const { return timing_; }
-    const DeviceStats &stats() const { return stats_; }
 
     /**
      * Earliest cycle >= now at which cmd to addr satisfies every timing
@@ -156,7 +145,6 @@ class Device
     std::vector<BankState> banks_;
     std::vector<GroupState> groups_;
     std::vector<RankState> ranks_;
-    DeviceStats stats_;
     Observer observer_;
     Cycle lastIssue_ = -1;
 };

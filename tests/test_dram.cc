@@ -238,20 +238,6 @@ TEST_F(DeviceTest, ObserverSeesCommands)
     dev_.issue(Command::ACT, addr(0, 0, 5), 10);
     EXPECT_EQ(acts, 1);
     EXPECT_EQ(last_at, 10);
-    EXPECT_EQ(dev_.stats().acts, 1);
-}
-
-TEST_F(DeviceTest, StatsCount)
-{
-    const Address a = addr(0, 0, 2);
-    dev_.issue(Command::ACT, a, 0);
-    const Cycle rd_at = dev_.earliest(Command::RD, a, 0);
-    dev_.issue(Command::RD, a, rd_at);
-    const Cycle pre_at = dev_.earliest(Command::PRE, a, rd_at);
-    dev_.issue(Command::PRE, a, pre_at);
-    EXPECT_EQ(dev_.stats().acts, 1);
-    EXPECT_EQ(dev_.stats().reads, 1);
-    EXPECT_EQ(dev_.stats().pres, 1);
 }
 
 TEST(Organization, BankAddressInvertsFlatBank)
