@@ -252,11 +252,10 @@ class Controller
     /** Device address of a mitigation victim reference. */
     dram::Address victimAddress(const mitigation::VictimRef &ref) const;
 
-    /** One cycle of decision logic at now_; sets acted_, and sets
-     *  wake_ to the earliest cycle after now_ at which a blocked branch
-     *  it reached can act. */
+    /** One cycle of decision logic at now_. Sets acted_, and sets wake_
+     *  to the earliest later cycle at which a branch it reached could
+     *  decide differently. */
     void stepAt();
-    /** Lower wake_ to `at`. */
     void wakeBy(dram::Cycle at) { wake_ = std::min(wake_, at); }
     /** True iff cmd to addr can issue at now_; otherwise lowers wake_
      *  to the cycle the device allows it. The scan asks every legality
