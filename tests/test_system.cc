@@ -534,16 +534,30 @@ TEST(System, FastForwardMatchesLockstepSaturated)
     const auto expect_agree = [](const core::SystemConfig &c, Kind kind,
                                  double hc, std::int64_t instructions,
                                  const std::string &label) {
+        engines::EngineRun production = engines::runSaturated(
+            c, /*lockstep=*/false, kind, hc, instructions);
         engines::expectIdentical(
             engines::runSaturated(c, /*lockstep=*/true, kind, hc,
                                   instructions),
-            engines::runSaturated(c, /*lockstep=*/false, kind, hc,
-                                  instructions),
-            label);
+            production, label);
+        return production.result;
     };
     // At these HCfirst values refresh work nearly fills the channel, so
     // a few hundred instructions already take millions of cycles.
-    expect_agree(config, Kind::PARA, 64.0, 200, "PARA");
+    const core::SystemResult para =
+        expect_agree(config, Kind::PARA, 64.0, 200, "PARA");
+    // Absolute pins: both arms share the victim-refresh branch, so a
+    // slip there (say, re-activating a victim whose row is already
+    // open) would pass the comparison above.
+    EXPECT_EQ(para.memStats.cycles, 1187383);
+    EXPECT_EQ(para.memStats.readsServed, 12008);
+    EXPECT_EQ(para.memStats.writesServed, 4901);
+    EXPECT_EQ(para.memStats.demandActs, 14991);
+    EXPECT_EQ(para.memStats.autoRefreshes, 126);
+    EXPECT_EQ(para.memStats.mitigationRefreshes, 16767);
+    // Exact: the bits, not a tolerance.
+    EXPECT_EQ(para.memStats.mitigationBusyCycles, 922185.0);
+    EXPECT_EQ(para.cpuCycles, 3956360);
     expect_agree(config, Kind::IncreasedRefresh, 69200.0, 200,
                  "IncRefresh");
     expect_agree(config, Kind::None, 0.0, 1000, "None");
