@@ -100,8 +100,10 @@ struct AcceptAll
  * decodes under `wire` (consuming every byte) and `accept(const T &)`
  * passes it, else `compute()`, whose value is then stored under the
  * same `wire`. A rejected record (undecodable, or stale by the driver's
- * own check) warns once and recomputes. A null store just computes.
- * Safe to call concurrently for distinct keys.
+ * own check) warns once and recomputes, and the recomputed value
+ * replaces it, so later calls and a resumed run are served without
+ * recomputing. A null store just computes. Safe to call concurrently
+ * for distinct keys.
  */
 template <class T, class Compute, class Schema = Wire,
           class Accept = AcceptAll>

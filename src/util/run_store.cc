@@ -259,9 +259,14 @@ RunStore::put(std::uint64_t key, std::string value)
 {
     std::lock_guard<std::mutex> lock(mu_);
     acquireLockLocked(); // No-op unless exclusive and not yet held.
-    if (!records_.emplace(key, std::move(value)).second)
-        return; // Shard already recorded.
-    order_.push_back(key);
+    // try_emplace leaves `value` alone when the key is already held.
+    const auto [it, inserted] = records_.try_emplace(key, std::move(value));
+    if (inserted)
+        order_.push_back(key);
+    else if (it->second == value)
+        return; // Shard already recorded with these bytes.
+    else
+        it->second = std::move(value);
     if (!persistent_)
         return;
 

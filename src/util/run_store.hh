@@ -106,10 +106,15 @@ class RunStore
     }
 
     /**
-     * Record a completed shard and persist the store atomically. On a
-     * write failure the record is kept in memory (the sweep's own
-     * result is unaffected), a warning is printed once, and further
-     * persistence is disabled for this store.
+     * Record a completed shard and persist the store atomically. A key
+     * already held with the same bytes is a no-op; with different bytes
+     * (a record memoized() rejected and recomputed) the value is
+     * replaced in place, keeping the key's insertion position. The
+     * replaced string is the one get() pointed to, so do not put() a
+     * key another thread is reading. On a write failure the record is
+     * kept in memory (the sweep's own result is unaffected), a warning
+     * is printed once, and further persistence is disabled for this
+     * store.
      */
     void put(std::uint64_t key, std::string value);
 

@@ -232,11 +232,16 @@ TEST(RunStore, RoundTripAcrossInstances)
     const std::uint64_t hash = 0x1122334455667788ull;
     const std::string path = RunStore::pathInDir(dir.path(), hash);
 
-    RunStore writer(path, hash);
+    FaultInjectingIo io(Io::system());
+    RunStore writer(path, hash, &io);
     EXPECT_EQ(writer.load(), 0u); // First run: no file yet.
-    writer.put(1, "alpha");
+    writer.put(1, "stale");
     writer.put(2, std::string("\x00\xFF\n", 3)); // Binary-safe.
-    writer.put(1, "ignored");                    // Duplicate: no-op.
+    const int writes = io.writeCalls();
+    writer.put(2, std::string("\x00\xFF\n", 3)); // Same bytes: no-op.
+    EXPECT_EQ(io.writeCalls(), writes);
+    writer.put(1, "alpha"); // New bytes: replaced and persisted.
+    EXPECT_GT(io.writeCalls(), writes);
     EXPECT_EQ(writer.size(), 2u);
     EXPECT_TRUE(writer.persistent());
 
@@ -247,6 +252,14 @@ TEST(RunStore, RoundTripAcrossInstances)
     ASSERT_NE(reader.get(2), nullptr);
     EXPECT_EQ(*reader.get(2), std::string("\x00\xFF\n", 3));
     EXPECT_EQ(reader.get(3), nullptr);
+
+    // The replaced record kept its insertion position: the first frame
+    // (after the 16-byte header and its own 8-byte frame) is key 1's.
+    std::string bytes;
+    ASSERT_TRUE(Io::system().readFile(path, bytes));
+    ByteWriter first_key;
+    first_key.u64(1);
+    EXPECT_EQ(bytes.substr(16 + 8, 8), first_key.bytes());
 }
 
 TEST(RunStore, PathInDirIsHexHash)
@@ -607,7 +620,8 @@ TEST(Execution, MemoizedRejectsStaleAndLongRecordsWithOneWarning)
     good.i64(7);
     store.put(0xEF, good.bytes() + "x");
 
-    for (const std::uint64_t key : {0xABull, 0xCDull, 0xEFull}) {
+    const std::uint64_t keys[] = {0xAB, 0xCD, 0xEF};
+    for (const std::uint64_t key : keys) {
         int computed = 0;
         testing::internal::CaptureStderr();
         EXPECT_EQ(memoI64(&store, key, 3, computed), 3);
@@ -619,6 +633,22 @@ TEST(Execution, MemoizedRejectsStaleAndLongRecordsWithOneWarning)
         std::ostringstream hex;
         hex << std::hex << key;
         EXPECT_NE(err.find(hex.str()), std::string::npos) << err;
+
+        // The recomputed value replaced the rejected record: a second
+        // call is served from it, silently.
+        testing::internal::CaptureStderr();
+        EXPECT_EQ(memoI64(&store, key, 4, computed), 3);
+        EXPECT_EQ(testing::internal::GetCapturedStderr(), "");
+        EXPECT_EQ(computed, 1);
+    }
+
+    // So does a resumed run.
+    RunStore reloaded(store.path(), 5);
+    EXPECT_EQ(reloaded.load(), 3u);
+    for (const std::uint64_t key : keys) {
+        int computed = 0;
+        EXPECT_EQ(memoI64(&reloaded, key, 4, computed), 3);
+        EXPECT_EQ(computed, 0);
     }
 }
 
