@@ -71,31 +71,6 @@ ChipTester::refreshRow(int bank, int row)
 }
 
 dram::Cycle
-ChipTester::hammerPair(int bank, int aggressor1, int aggressor2,
-                       std::int64_t hc)
-{
-    if (refreshEnabled_) {
-        util::fatal("ChipTester::hammerPair: refresh must be disabled "
-                    "during the core hammer loop");
-    }
-    dram::Address a1{.rank = 0, .bankGroup = 0, .bank = bank,
-                     .row = aggressor1, .column = 0};
-    dram::Address a2 = a1;
-    a2.row = aggressor2;
-
-    const dram::Cycle start = now_;
-    for (std::int64_t i = 0; i < hc; ++i) {
-        issueAsap(dram::Command::ACT, a1);
-        issueAsap(dram::Command::PRE, a1);
-        issueAsap(dram::Command::ACT, a2);
-        issueAsap(dram::Command::PRE, a2);
-    }
-    model_.addActivations(bank, aggressor1, hc);
-    model_.addActivations(bank, aggressor2, hc);
-    return now_ - start;
-}
-
-dram::Cycle
 ChipTester::hammerRows(int bank,
                        std::span<const fault::AggressorDose> doses)
 {
@@ -155,40 +130,14 @@ HammerResult
 ChipTester::runHammerTest(int bank, int victim_row, std::int64_t hc,
                           fault::DataPattern dp, util::Rng &rng)
 {
-    HammerResult result;
     const auto aggressors = model_.aggressorRows(victim_row);
     if (aggressors.size() != 2) {
         util::fatal("ChipTester::runHammerTest: victim row too close to "
                     "the array edge for a double-sided hammer");
     }
-
-    writePattern(dp, victim_row & 1);
-    refreshRow(bank, victim_row);
-    disableRefresh();
-
-    result.coreLoopCycles =
-        hammerPair(bank, aggressors[0], aggressors[1], hc);
-    result.activations = 2 * hc;
-    result.coreLoopMs = timing().toNs(result.coreLoopCycles) * 1e-6;
-
-    // Section 4.3: the core loop must fit within the minimum refresh
-    // window so RowHammer flips are not conflated with retention loss.
-    if (result.coreLoopMs >= 32.0) {
-        util::fatal("ChipTester::runHammerTest: core loop exceeds the "
-                    "32 ms refresh window; lower the hammer count");
-    }
-
-    enableRefresh();
-
-    const auto [lo, hi] = model_.blastReadRange(victim_row, victim_row);
-    for (int row = lo; row <= hi; ++row) {
-        if (row == aggressors[0] || row == aggressors[1])
-            continue;
-        auto flips = readRow(bank, row, rng);
-        result.flips.insert(result.flips.end(), flips.begin(),
-                            flips.end());
-    }
-    return result;
+    const fault::AggressorDose doses[] = {{aggressors[0], hc},
+                                          {aggressors[1], hc}};
+    return runPatternTest(bank, victim_row, doses, dp, rng);
 }
 
 HammerResult

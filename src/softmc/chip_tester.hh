@@ -26,7 +26,7 @@
 namespace rowhammer::softmc
 {
 
-/** Result of one double-sided hammer test on a victim row. */
+/** Result of one Algorithm 1 hammer test on a victim row. */
 struct HammerResult
 {
     std::vector<fault::FlipObservation> flips;
@@ -72,19 +72,12 @@ class ChipTester
     void refreshRow(int bank, int row);
 
     /**
-     * The core RowHammer loop of Algorithm 1: alternately activate the
-     * two aggressor rows `hc` times each, as fast as timing allows.
-     * Refresh must be disabled. Returns the cycles consumed.
-     */
-    dram::Cycle hammerPair(int bank, int aggressor1, int aggressor2,
-                           std::int64_t hc);
-
-    /**
-     * Weighted multi-aggressor core loop: activate every dosed row as
-     * fast as timing allows, interleaving rows round-robin until each
-     * row's dose is exhausted (the interleave maximizes row-buffer
-     * conflicts, like the pair loop's alternation). Refresh must be
-     * disabled. Returns the cycles consumed.
+     * The core RowHammer loop of Algorithm 1 over a weighted aggressor
+     * set: activate every dosed row as fast as timing allows,
+     * interleaving rows round-robin until each row's dose is exhausted
+     * (the interleave maximizes row-buffer conflicts; two equal doses
+     * alternate the pair). Refresh must be disabled. Returns the cycles
+     * consumed.
      */
     dram::Cycle hammerRows(int bank,
                            std::span<const fault::AggressorDose> doses);
@@ -94,9 +87,10 @@ class ChipTester
                                                 util::Rng &rng);
 
     /**
-     * Algorithm 1 for a single victim row and hammer count: the full
-     * write / refresh-victim / disable-refresh / hammer / re-enable /
-     * read sequence. Checks the 32 ms core-loop bound.
+     * Algorithm 1 for a single victim row and hammer count: the
+     * two-dose runPatternTest, hammering each of the victim's two
+     * aggressor rows `hc` times. fatal()s when the victim is too close
+     * to the array edge to have two aggressors.
      */
     HammerResult runHammerTest(int bank, int victim_row, std::int64_t hc,
                                fault::DataPattern dp, util::Rng &rng);

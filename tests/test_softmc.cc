@@ -44,7 +44,8 @@ TEST(ChipTester, HammerRequiresRefreshDisabled)
     ChipModel chip(denseSpec(), 10000, 2, smallGeometry());
     softmc::ChipTester tester(chip);
     EXPECT_TRUE(tester.refreshEnabled());
-    EXPECT_THROW(tester.hammerPair(0, 99, 101, 10), util::FatalError);
+    const fault::AggressorDose doses[] = {{99, 10}, {101, 10}};
+    EXPECT_THROW(tester.hammerRows(0, doses), util::FatalError);
 }
 
 TEST(ChipTester, CoreLoopTimingMatchesTrc)
@@ -52,7 +53,8 @@ TEST(ChipTester, CoreLoopTimingMatchesTrc)
     ChipModel chip(denseSpec(), 10000, 3, smallGeometry());
     softmc::ChipTester tester(chip);
     tester.disableRefresh();
-    const dram::Cycle cycles = tester.hammerPair(0, 99, 101, 1000);
+    const fault::AggressorDose doses[] = {{99, 1000}, {101, 1000}};
+    const dram::Cycle cycles = tester.hammerRows(0, doses);
     // Each hammer is two full row cycles (ACT+PRE on each aggressor).
     const double per_hammer = static_cast<double>(cycles) / 1000.0;
     EXPECT_NEAR(per_hammer, 2.0 * tester.timing().tRC,
@@ -133,7 +135,8 @@ TEST(ChipTester, DeviceCommandsAccounted)
                 ++pres;
         });
     tester.disableRefresh();
-    tester.hammerPair(0, 99, 101, 100);
+    const fault::AggressorDose doses[] = {{99, 100}, {101, 100}};
+    tester.hammerRows(0, doses);
     EXPECT_EQ(acts, 200);
     EXPECT_EQ(pres, 200);
 }
