@@ -166,7 +166,6 @@ Device::issue(Command cmd, const Address &addr, Cycle at)
         auto &b = bank(addr);
         auto &g = group(addr);
         b.open = true;
-        b.row = addr.row;
         b.nextAct = at + timing_.tRC;
         b.nextPre = at + timing_.tRAS;
         b.nextRdWr = at + timing_.tRCD;
@@ -178,7 +177,6 @@ Device::issue(Command cmd, const Address &addr, Cycle at)
       case Command::PRE: {
         auto &b = bank(addr);
         b.open = false;
-        b.row = -1;
         b.nextAct = std::max(b.nextAct, at + timing_.tRP);
         break;
       }
@@ -189,7 +187,6 @@ Device::issue(Command cmd, const Address &addr, Cycle at)
             for (a.bank = 0; a.bank < org_.banksPerGroup; ++a.bank) {
                 auto &b = bank(a);
                 b.open = false;
-                b.row = -1;
                 b.nextAct = std::max(b.nextAct, at + timing_.tRP);
             }
         }
@@ -232,15 +229,6 @@ bool
 Device::isOpen(const Address &addr) const
 {
     return bank(addr).open;
-}
-
-int
-Device::openRow(const Address &addr) const
-{
-    const auto &b = bank(addr);
-    if (!b.open)
-        util::panic("Device::openRow: bank is closed");
-    return b.row;
 }
 
 } // namespace rowhammer::dram

@@ -40,8 +40,9 @@ class Device
 
     /**
      * Earliest cycle >= now at which cmd to addr satisfies every timing
-     * constraint. Does not check bank open/closed state (use the state
-     * queries / canIssue for that).
+     * constraint. Bank open/closed state is not checked: a driver that
+     * tracks its own open rows (sim::Controller) asks only this, and
+     * canIssue() adds the state check for one that does not.
      */
     Cycle earliest(Command cmd, const Address &addr, Cycle now) const;
 
@@ -53,16 +54,13 @@ class Device
 
     /**
      * Issue cmd to addr at cycle `at`. Panics if the command violates
-     * timing or bank state: the controller is required to pre-validate
-     * with canIssue/earliest. Notifies the observer.
+     * timing or bank state (canIssue), so a driver whose own bank-state
+     * table drifted fails loudly. Notifies the observer.
      */
     void issue(Command cmd, const Address &addr, Cycle at);
 
     /** True iff the addressed bank has an open row. */
     bool isOpen(const Address &addr) const;
-
-    /** Open row of the addressed bank; panics if closed. */
-    int openRow(const Address &addr) const;
 
     /** Cycle at which the read data burst completes for a RD at `at`. */
     Cycle readDataAt(Cycle at) const { return at + timing_.tCL + timing_.tBL; }
@@ -80,7 +78,6 @@ class Device
     struct BankState
     {
         bool open = false;
-        int row = -1;
         Cycle nextAct = 0;
         Cycle nextPre = 0;
         Cycle nextRdWr = 0;

@@ -147,9 +147,10 @@ Controller::issue(dram::Command cmd, const dram::Address &addr)
 bool
 Controller::legalOrWake(dram::Command cmd, const dram::Address &addr)
 {
-    if (device_.canIssue(cmd, addr, now_))
+    const dram::Cycle at = device_.earliest(cmd, addr, now_);
+    if (at <= now_)
         return true;
-    wakeBy(device_.earliest(cmd, addr, now_));
+    wakeBy(at);
     return false;
 }
 
@@ -255,23 +256,21 @@ Controller::tryIssueVictimRefresh()
     VictimRefresh &vr = victimQueue_.front();
 
     if (!vr.activated) {
-        const bool open = device_.isOpen(vr.addr);
-        if (open && device_.openRow(vr.addr) == vr.addr.row) {
+        const auto flat = static_cast<std::size_t>(org_.flatBank(vr.addr));
+        if (openRow_[flat] == vr.addr.row) {
             // Row already open: opening it refreshed it; just finish.
             victimQueue_.pop_front();
             acted_ = true;
             return false;
         }
-        if (open) {
+        if (openRow_[flat] >= 0) {
             // Let queued row hits on this bank drain first; closing
             // their row mid-burst would force extra activations (row
             // thrash). Only the actively-served queue can make
             // progress, so only it protects banks.
             const Queue &served = drainingWrites_ ? writes_ : reads_;
-            if (served.hits[static_cast<std::size_t>(
-                    org_.flatBank(vr.addr))] > 0) {
+            if (served.hits[flat] > 0)
                 return false;
-            }
             if (legalOrWake(dram::Command::PRE, vr.addr))
                 issue(dram::Command::PRE, vr.addr);
             return true;

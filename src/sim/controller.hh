@@ -258,8 +258,12 @@ class Controller
     void stepAt();
     void wakeBy(dram::Cycle at) { wake_ = std::min(wake_, at); }
     /** True iff cmd to addr can issue at now_; otherwise lowers wake_
-     *  to the cycle the device allows it. The scan asks every legality
-     *  question through here, so each blocked candidate sets a wake. */
+     *  to the cycle the device allows it. Bank state comes from
+     *  openRow_, which picks every candidate (PRE, ACT to a closed
+     *  bank, RD/WR to a bank with hits, REF once all banks are closed),
+     *  so the device answers one timing question, Device::earliest.
+     *  The scan asks every legality question through here, so each
+     *  blocked candidate sets a wake. */
     bool legalOrWake(dram::Command cmd, const dram::Address &addr);
 
     bool tryIssueRefresh();
@@ -294,7 +298,9 @@ class Controller
     /** Arrival number of the next enqueued request. */
     std::uint64_t nextSeq_ = 0;
     /** Open row per flat bank (-1 = closed). issue() is its only
-     *  writer, so it mirrors the device without asking it. */
+     *  writer, so it mirrors the device without asking it: every branch
+     *  reads bank state here, never from the device. Device::issue
+     *  still checks bank state and panics if the two ever drift. */
     std::vector<int> openRow_;
     /** Last cycle each flat bank was used (for idle-row closing). */
     std::vector<dram::Cycle> bankLastUse_;

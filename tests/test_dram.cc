@@ -122,7 +122,6 @@ TEST_F(DeviceTest, ActThenReadRespectsTrcd)
     const Address a = addr(0, 0, 100);
     dev_.issue(Command::ACT, a, 0);
     EXPECT_TRUE(dev_.isOpen(a));
-    EXPECT_EQ(dev_.openRow(a), 100);
     const TimingSpec &t = dev_.timing();
     EXPECT_EQ(dev_.earliest(Command::RD, a, 0), t.tRCD);
     EXPECT_FALSE(dev_.canIssue(Command::RD, a, t.tRCD - 1));
@@ -214,8 +213,6 @@ TEST_F(DeviceTest, IllegalCommandsPanic)
     EXPECT_THROW(dev_.issue(Command::ACT, a, 1000), PanicError);
     // Premature RD.
     EXPECT_THROW(dev_.issue(Command::RD, a, 1), PanicError);
-    // openRow on closed bank.
-    EXPECT_THROW(dev_.openRow(addr(1, 0, 0)), PanicError);
 }
 
 TEST_F(DeviceTest, TimeMustNotGoBackwards)
