@@ -40,7 +40,7 @@ class Device
 
     /**
      * Earliest cycle >= now at which cmd to addr satisfies every timing
-     * constraint. Bank open/closed state is not checked: a driver that
+     * constraint. Bank open/closed state is not checked: a caller that
      * tracks its own open rows (sim::Controller) asks only this, and
      * canIssue() adds the state check for one that does not.
      */
@@ -54,8 +54,9 @@ class Device
 
     /**
      * Issue cmd to addr at cycle `at`. Panics if the command violates
-     * timing or bank state (canIssue), so a driver whose own bank-state
-     * table drifted fails loudly. Notifies the observer.
+     * timing or bank state (canIssue), so a caller whose own bank-state
+     * table drifted fails at its first ACT to an open bank or RD/WR to
+     * a closed one. Notifies the observer.
      */
     void issue(Command cmd, const Address &addr, Cycle at);
 

@@ -258,12 +258,10 @@ class Controller
     void stepAt();
     void wakeBy(dram::Cycle at) { wake_ = std::min(wake_, at); }
     /** True iff cmd to addr can issue at now_; otherwise lowers wake_
-     *  to the cycle the device allows it. Bank state comes from
-     *  openRow_, which picks every candidate (PRE, ACT to a closed
-     *  bank, RD/WR to a bank with hits, REF once all banks are closed),
-     *  so the device answers one timing question, Device::earliest.
-     *  The scan asks every legality question through here, so each
-     *  blocked candidate sets a wake. */
+     *  to the cycle the device allows it. The scan picks each candidate
+     *  from openRow_, so the device answers one timing question
+     *  (Device::earliest). Every legality question goes through here,
+     *  so each blocked candidate sets a wake. */
     bool legalOrWake(dram::Command cmd, const dram::Address &addr);
 
     bool tryIssueRefresh();
@@ -297,10 +295,10 @@ class Controller
     Queue writes_;
     /** Arrival number of the next enqueued request. */
     std::uint64_t nextSeq_ = 0;
-    /** Open row per flat bank (-1 = closed). issue() is its only
-     *  writer, so it mirrors the device without asking it: every branch
-     *  reads bank state here, never from the device. Device::issue
-     *  still checks bank state and panics if the two ever drift. */
+    /** Open row per flat bank (-1 = closed), the controller's only
+     *  source of bank state. issue() is its only writer, so it mirrors
+     *  the device; Device::issue panics on the first ACT or RD/WR that
+     *  a drifted entry would let through. */
     std::vector<int> openRow_;
     /** Last cycle each flat bank was used (for idle-row closing). */
     std::vector<dram::Cycle> bankLastUse_;
